@@ -5,11 +5,9 @@
 //! The paper bounds search cost in oracle calls (§3); at production
 //! scale a call cap alone is not deployable — a single pathological
 //! probe can stall a batch run indefinitely. A [`Budget`] is started
-//! when a search begins and is consulted by the sequential loop before
-//! every probe and by the probe engine's workers before every chunk, so
-//! both the search and its speculative prefetch stop promptly. Stopping
-//! is always *cooperative*: no thread is killed, scoped workers drain
-//! and join, and the report carries best-so-far suggestions with an
+//! when a search begins and is consulted before every probe, so the
+//! search stops promptly. Stopping is always *cooperative*: no thread is
+//! killed, and the report carries best-so-far suggestions with an
 //! honest [`Completion`](seminal_obs::Completion).
 
 use seminal_obs::Completion;
@@ -43,9 +41,7 @@ impl StopReason {
 
 /// The run bounds of one search, clock already started.
 ///
-/// Cloning shares the cancellation flag (it is the same logical budget);
-/// the engine holds a clone so its workers can poll the same bounds the
-/// sequential loop checks.
+/// Cloning shares the cancellation flag (it is the same logical budget).
 #[derive(Debug, Clone)]
 pub struct Budget {
     max_oracle_calls: u64,
@@ -78,13 +74,6 @@ impl Budget {
     /// Whether the wall-clock deadline has passed.
     pub fn deadline_expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Cancel or deadline — the bounds the engine's workers poll between
-    /// chunks (the call cap is accounted by the sequential consumer, so
-    /// workers never check it).
-    pub fn interrupted(&self) -> bool {
-        self.cancelled() || self.deadline_expired()
     }
 
     /// The strongest bound in force after `calls` oracle calls, if any.
@@ -147,7 +136,6 @@ mod tests {
         let budget = Budget::start(10, None, Arc::default());
         assert_eq!(budget.stop_reason(9), None);
         assert_eq!(budget.stop_reason(10), Some(StopReason::BudgetExhausted));
-        assert!(!budget.interrupted(), "the call cap is not a worker interrupt");
     }
 
     #[test]
@@ -156,7 +144,6 @@ mod tests {
         assert_eq!(budget.stop_reason(0), None);
         std::thread::sleep(Duration::from_millis(10));
         assert_eq!(budget.stop_reason(0), Some(StopReason::DeadlineExpired));
-        assert!(budget.interrupted());
     }
 
     #[test]

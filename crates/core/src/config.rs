@@ -7,7 +7,7 @@
 //! Configurations are built either from a preset (the `full()` /
 //! `without_*()` constructors) or through the validating
 //! [`SearchConfig::builder`], which rejects nonsense values
-//! (`threads == 0`, an empty trace ring) with a typed [`ConfigError`]
+//! (a zero oracle budget, an empty trace ring) with a typed [`ConfigError`]
 //! instead of letting them panic deep inside a search.
 
 use seminal_analysis::BackendKind;
@@ -18,8 +18,6 @@ use std::time::Duration;
 /// [`SearchConfigBuilder::build`] and [`SearchConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `threads` must be at least 1 (1 = the sequential engine).
-    ZeroThreads,
     /// `trace_capacity` must be at least 1 record.
     ZeroTraceCapacity,
     /// `flight_capacity` must be at least 1 record.
@@ -35,7 +33,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::ZeroThreads => write!(f, "`threads` must be >= 1 (1 = sequential)"),
             ConfigError::ZeroTraceCapacity => write!(f, "`trace_capacity` must be >= 1 record"),
             ConfigError::ZeroFlightCapacity => write!(f, "`flight_capacity` must be >= 1 record"),
             ConfigError::ZeroOracleBudget => write!(f, "`max_oracle_calls` must be >= 1"),
@@ -49,7 +46,7 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Tuning knobs for the [`Searcher`](crate::search::Searcher).
+/// Tuning knobs for a [`SearchSession`](crate::SearchSession).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchConfig {
     /// Enable the triage extension for multiple independent errors (§2.4).
@@ -76,19 +73,13 @@ pub struct SearchConfig {
     /// Largest argument count for which full permutations are attempted
     /// (gated on the all-wildcards probe succeeding, §2.2).
     pub max_permutation_args: usize,
-    /// Memoize oracle verdicts by rendered program text: different search
-    /// paths often construct identical variants (e.g. a removal revisited
-    /// during triage), and the checker is deterministic, so cached
-    /// verdicts are always safe. Off by default so oracle-call counts
-    /// stay comparable with the paper's cost model.
-    pub memoize_oracle: bool,
     /// Capture the structured trace into
     /// [`SearchReport::records`](crate::search::SearchReport) (span
-    /// open/close records plus one event per oracle probe) and its legacy
-    /// flat projection `SearchReport::trace`, for debugging and for
-    /// teaching how the search proceeds. Sinks registered with
-    /// [`Searcher::add_sink`](crate::search::Searcher) receive the stream
-    /// regardless of this flag.
+    /// open/close records plus one event per oracle probe), for
+    /// debugging and for teaching how the search proceeds. Sinks
+    /// registered with
+    /// [`SearchSessionBuilder::sink`](crate::SearchSessionBuilder::sink)
+    /// receive the stream regardless of this flag.
     pub collect_trace: bool,
     /// Ring-buffer capacity (in records) of the in-report capture when
     /// `collect_trace` is on; oldest records are dropped beyond it and
@@ -123,24 +114,13 @@ pub struct SearchConfig {
     /// suggestion set or `oracle_calls`. Ignored when `blame_guidance`
     /// is off.
     pub guidance_backend: BackendKind,
-    /// Worker threads for the parallel probe engine. At 1 (the default)
-    /// the search runs the sequential engine, byte-identical to the
-    /// pre-engine tool. Above 1, each enumeration frontier is drained
-    /// through a work-stealing pool of scoped `std::thread` workers into
-    /// a sharded memo cache; the suggestion set is unchanged (verdicts
-    /// are deterministic) but duplicate probes become memo hits, so
-    /// `oracle_calls` redistributes into `oracle_calls + memo_hits`.
-    /// The default honors the `SEMINAL_THREADS` environment variable so
-    /// CI can sweep a whole test suite through the parallel engine.
-    pub threads: usize,
     /// Wall-clock deadline for one search, measured from the start of
     /// [`search`](crate::SearchSession::search). The baseline check
-    /// always runs; after it, the sequential loop and the probe engine's
-    /// workers stop cooperatively once the deadline passes, and the
-    /// report carries the best-so-far suggestions with
-    /// `Completion::DeadlineExpired`. `None` (the default) means
-    /// unbounded. The default honors `SEMINAL_DEADLINE_MS` the way
-    /// `threads` honors `SEMINAL_THREADS`.
+    /// always runs; after it, the search stops cooperatively at the next
+    /// probe once the deadline passes, and the report carries the
+    /// best-so-far suggestions with `Completion::DeadlineExpired`.
+    /// `None` (the default) means unbounded. The default honors the
+    /// `SEMINAL_DEADLINE_MS` environment variable.
     pub deadline: Option<Duration>,
     /// Wall-clock already consumed before the search started — queue
     /// wait under the serve daemon's admission control. Charged against
@@ -162,19 +142,6 @@ pub struct SearchConfig {
     /// counters move. On by default; `--no-incremental` is the CLI
     /// escape hatch.
     pub incremental_oracle: bool,
-}
-
-/// Default thread count: `SEMINAL_THREADS` when set to a positive
-/// integer, else 1 (sequential). Read once per process.
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("SEMINAL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
 }
 
 /// Default per-search deadline: `SEMINAL_DEADLINE_MS` when set to a
@@ -203,14 +170,12 @@ impl Default for SearchConfig {
             triage_size_threshold: 6,
             max_triage_depth: 3,
             max_permutation_args: 4,
-            memoize_oracle: false,
             collect_trace: false,
             trace_capacity: 262_144,
             flight_recorder: true,
             flight_capacity: 1024,
             blame_guidance: true,
             guidance_backend: BackendKind::Blame,
-            threads: default_threads(),
             deadline: default_deadline(),
             admission_lag: Duration::ZERO,
             incremental_oracle: true,
@@ -235,9 +200,6 @@ impl SearchConfig {
     ///
     /// The first violated [`ConfigError`] invariant.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
         if self.trace_capacity == 0 {
             return Err(ConfigError::ZeroTraceCapacity);
         }
@@ -312,8 +274,8 @@ impl SearchConfig {
 /// Fluent, validating constructor for [`SearchConfig`]. Setters are
 /// infallible; [`SearchConfigBuilder::build`] checks the invariants and
 /// returns a typed [`ConfigError`] on violation, replacing the
-/// field-poking (`SearchConfig { threads: 0, ..default() }`) that used
-/// to let invalid values panic mid-search.
+/// field-poking (`SearchConfig { max_oracle_calls: 0, ..default() }`)
+/// that used to let invalid values panic mid-search.
 #[derive(Debug, Clone, Default)]
 pub struct SearchConfigBuilder {
     cfg: SearchConfig,
@@ -323,13 +285,6 @@ impl SearchConfigBuilder {
     /// Starts from an existing configuration (e.g. an ablation preset).
     pub fn from_config(cfg: SearchConfig) -> SearchConfigBuilder {
         SearchConfigBuilder { cfg }
-    }
-
-    /// Worker threads for the probe engine (validated `>= 1` at build).
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
-        self
     }
 
     /// Enable/disable triage (§2.4).
@@ -371,13 +326,6 @@ impl SearchConfigBuilder {
     #[must_use]
     pub fn max_suggestions(mut self, cap: usize) -> Self {
         self.cfg.max_suggestions = cap;
-        self
-    }
-
-    /// Memoize oracle verdicts by rendered program text.
-    #[must_use]
-    pub fn memoize(mut self, on: bool) -> Self {
-        self.cfg.memoize_oracle = on;
         self
     }
 
@@ -479,20 +427,12 @@ mod tests {
 
     #[test]
     fn builder_validates_and_builds() {
-        let cfg = SearchConfig::builder()
-            .threads(4)
-            .memoize(true)
-            .collect_trace(true)
-            .trace_capacity(128)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.threads, 4);
-        assert!(cfg.memoize_oracle && cfg.collect_trace);
+        let cfg = SearchConfig::builder().collect_trace(true).trace_capacity(128).build().unwrap();
+        assert!(cfg.collect_trace);
         assert_eq!(cfg.trace_capacity, 128);
         assert!(cfg.flight_recorder, "flight recorder defaults on");
         assert_eq!(cfg.flight_capacity, 1024);
 
-        assert_eq!(SearchConfig::builder().threads(0).build(), Err(ConfigError::ZeroThreads));
         assert_eq!(
             SearchConfig::builder().trace_capacity(0).build(),
             Err(ConfigError::ZeroTraceCapacity)
@@ -513,7 +453,7 @@ mod tests {
             SearchConfig::builder().max_suggestions(0).build(),
             Err(ConfigError::ZeroSuggestionCap)
         );
-        assert!(ConfigError::ZeroThreads.to_string().contains("threads"));
+        assert!(ConfigError::ZeroOracleBudget.to_string().contains("max_oracle_calls"));
     }
 
     #[test]
@@ -539,10 +479,10 @@ mod tests {
     #[test]
     fn builder_starts_from_presets() {
         let cfg = SearchConfigBuilder::from_config(SearchConfig::without_triage())
-            .threads(2)
+            .max_suggestions(2)
             .build()
             .unwrap();
         assert!(!cfg.triage);
-        assert_eq!(cfg.threads, 2);
+        assert_eq!(cfg.max_suggestions, 2);
     }
 }

@@ -15,7 +15,8 @@
 //!
 //! The four stages of the paper's §2 map onto this crate as:
 //!
-//! * top-down removal (§2.1) — [`search::Searcher`]'s recursive descent;
+//! * top-down removal (§2.1) — the searcher's recursive descent
+//!   ([`SearchSession::search`]);
 //! * constructive changes (§2.2) — [`enumerate::changes_for`];
 //! * adaptation to context (§2.3) — `adapt e` probes in the searcher;
 //! * triage for multiple errors (§2.4) — sibling-wildcarding and the
@@ -36,15 +37,14 @@
 //! # }
 //! ```
 //!
-//! Searches run sequentially by default; `.threads(n)` on the builder
-//! turns on the parallel probe engine (see [`engine`]), which drains
-//! each enumeration frontier through a work-stealing worker pool into a
-//! sharded memo without changing the suggestion set.
+//! Probes run one at a time, in the order the search decides them:
+//! each verdict can change which probe comes next. Verdict caching is
+//! an [`Oracle`] wrapper ([`SharedMemoOracle`] over a
+//! [`CrossRequestMemo`]), invisible to the search.
 
 pub mod budget;
 pub mod change;
 pub mod config;
-pub mod engine;
 pub mod enumerate;
 pub mod memo;
 pub mod message;
@@ -56,8 +56,6 @@ pub use budget::{Budget, SearchHandle, StopReason};
 pub use change::{Candidate, ChangeKind, Focus, Probe, Suggestion};
 pub use config::{ConfigError, SearchConfig, SearchConfigBuilder};
 pub use memo::{CrossRequestMemo, SharedMemoOracle, DEFAULT_CROSS_MEMO_CAPACITY};
-#[allow(deprecated)]
-pub use search::Searcher;
 pub use search::{CustomChange, Outcome, SearchReport, SearchStats};
 pub use session::{SearchSession, SearchSessionBuilder};
 

@@ -1,15 +1,16 @@
 //! Process-lifetime probe-verdict cache for the serve daemon.
 //!
-//! The in-search [`ShardedMemo`](crate::engine::ShardedMemo) lives for
-//! one `SearchSession::search` call and keys on pretty-printed program
-//! text. A long-lived `seminal serve` process wants the complement: a
-//! cache that **outlives** every session, keyed by the compact
+//! This is the workspace's one verdict cache. It sits *below* the
+//! search, as an [`Oracle`] wrapper, so the search itself never knows
+//! whether a verdict was cached: a per-search cache is just a fresh
+//! [`CrossRequestMemo`], and a long-lived `seminal serve` process keeps
+//! one that **outlives** every session, keyed by the compact
 //! [`program_fingerprint`] content hash so repeated edits to the same
 //! file replay probe verdicts across requests instead of re-running the
 //! oracle.
 //!
-//! [`CrossRequestMemo`] is that cache: 16-way sharded like the engine
-//! memo, bounded by FIFO eviction per shard, with process-lifetime
+//! [`CrossRequestMemo`] is 16-way sharded, bounded by FIFO eviction per
+//! shard, with process-lifetime
 //! hit/miss/evict counters (surfaced as the `memo.cross_request_*`
 //! metrics). [`SharedMemoOracle`] is the per-request adapter: an
 //! [`Oracle`] wrapper that consults the shared memo before its inner
@@ -21,13 +22,13 @@
 //! Probe *faults* (inner-oracle panics) propagate uncached: a chaotic
 //! or buggy oracle must not poison verdicts for every later request.
 
-use seminal_typeck::fingerprint::fnv1a;
+use seminal_obs::fnv1a;
 use seminal_typeck::{program_fingerprint, Oracle, TypeError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Shard count; must be a power of two (same layout as `ShardedMemo`).
+/// Shard count; must be a power of two.
 const SHARDS: usize = 16;
 
 /// Default capacity (total verdicts across shards) when the server is
@@ -87,7 +88,7 @@ impl CrossRequestMemo {
     }
 
     /// Caches a verdict (first writer wins — a concurrent duplicate is
-    /// dropped, matching the engine memo). Returns `true` when an old
+    /// dropped). Returns `true` when an old
     /// verdict was evicted to make room.
     pub fn insert(&self, key: u64, verdict: Result<(), TypeError>) -> bool {
         let mut shard = self.shard(key).lock().expect("cross-request memo poisoned");

@@ -23,7 +23,8 @@
 //! Every search emits a structured trace (spans for the blame pass,
 //! prefix localization, each descent and triage round; one event per
 //! oracle probe with outcome and latency) through `seminal-obs`. Records
-//! stream to any sinks registered with [`Searcher::add_sink`] and, when
+//! stream to any sinks registered with
+//! [`SearchSessionBuilder::sink`](crate::SearchSessionBuilder::sink) and, when
 //! [`SearchConfig::collect_trace`] is on, are captured into
 //! [`SearchReport::records`]. Aggregate counters and latency histograms
 //! are always collected (the cost is two clock reads and a few integer
@@ -32,7 +33,6 @@
 use crate::budget::{Budget, SearchHandle, StopReason};
 use crate::change::{ChangeKind, Focus, Suggestion};
 use crate::config::SearchConfig;
-use crate::engine::{MemoLookup, ProbeEngine};
 use crate::enumerate::changes_for;
 use crate::rank::rank;
 use seminal_analysis::Localization;
@@ -53,63 +53,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One oracle probe of the legacy flat trace.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the structured stream in `SearchReport::records` \
-            (`seminal_obs::TraceRecord`) instead"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// What the probe was trying ("removal", "constructive: …",
-    /// "adaptation", "gate", "prefix", "triage-context", …).
-    pub action: String,
-    /// Concrete syntax of the node being changed (empty for whole-program
-    /// probes such as prefixes).
-    pub target: String,
-    /// Whether the variant type-checked.
-    pub success: bool,
-}
-
-#[allow(deprecated)]
-impl TraceEvent {
-    /// Projects the structured record stream onto the legacy flat trace:
-    /// one event per oracle probe (the initial whole-program check is
-    /// skipped, as it predates the legacy trace) plus the synthetic
-    /// `prefix` entry for blame-localized prefix inference. This is the
-    /// compatibility shim — [`SearchReport::trace`] is exactly this
-    /// projection of [`SearchReport::records`].
-    pub fn from_records(records: &[TraceRecord]) -> Vec<TraceEvent> {
-        records
-            .iter()
-            .filter_map(|rec| match rec {
-                TraceRecord::Event {
-                    kind: EventKind::OracleProbe { probe, target, outcome, .. },
-                    ..
-                } => {
-                    if matches!(probe, ProbeKind::Baseline) {
-                        None
-                    } else {
-                        Some(TraceEvent {
-                            action: probe.legacy_action(),
-                            target: target.clone(),
-                            success: *outcome,
-                        })
-                    }
-                }
-                TraceRecord::Event { kind: EventKind::PrefixLocalized { detail, .. }, .. } => {
-                    Some(TraceEvent {
-                        action: "prefix".to_owned(),
-                        target: detail.clone(),
-                        success: false,
-                    })
-                }
-                _ => None,
-            })
-            .collect()
-    }
-}
-
 /// Cost and coverage counters for one search.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
@@ -126,17 +69,15 @@ pub struct SearchStats {
     /// (equivalent to `completion == Completion::BudgetExhausted` on the
     /// report; kept here for the paper's cost accounting).
     pub budget_exhausted: bool,
-    /// Logical probes whose oracle call panicked and was isolated
-    /// ([`ProbeOutcome::Faulted`]). Each logical probe is exactly one of
-    /// an oracle call, a memo hit, or a probe fault, so
-    /// `oracle_calls + memo_hits + probe_faults` is the logical probe
-    /// count — identical at every thread count.
+    /// Isolated panics: probes whose oracle call panicked
+    /// ([`ProbeOutcome::Faulted`]) plus enumeration steps that panicked.
+    /// Every oracle call is either counted in `oracle_calls` or, when it
+    /// panicked, here — so with an oracle that is the only source of
+    /// faults, the oracle sees exactly `oracle_calls + probe_faults`
+    /// calls.
     pub probe_faults: u64,
     /// Index (1-based) of the first ill-typed top-level definition.
     pub first_bad_decl: usize,
-    /// Oracle calls answered from the memo cache
-    /// ([`SearchConfig::memoize_oracle`](crate::SearchConfig)).
-    pub memo_hits: u64,
     /// Size of the minimal unsatisfiable constraint core computed by the
     /// blame pass (0 when guidance is off, the program is well-typed, or
     /// the error is a naming error with no constraint conflict).
@@ -162,14 +103,6 @@ impl SearchStats {
     pub fn search_time(&self) -> Duration {
         self.elapsed.saturating_sub(self.blame_time)
     }
-
-    /// The logical probe count: every planned probe resolves as exactly
-    /// one oracle call, memo hit, or isolated fault, so this sum is
-    /// invariant across thread counts and memo settings — the
-    /// conservation identity the determinism and fuzzing suites assert.
-    pub fn logical_probes(&self) -> u64 {
-        self.oracle_calls + self.memo_hits + self.probe_faults
-    }
 }
 
 /// What the search concluded.
@@ -183,7 +116,7 @@ pub enum Outcome {
     NoSuggestion,
 }
 
-/// The result of running [`Searcher::search`].
+/// The result of running [`SearchSession::search`](crate::SearchSession::search).
 #[derive(Debug, Clone)]
 pub struct SearchReport {
     pub outcome: Outcome,
@@ -197,12 +130,6 @@ pub struct SearchReport {
     /// The conventional type-checker's message for the same input, for
     /// side-by-side presentation and for the evaluation harness.
     pub baseline: Option<TypeError>,
-    /// Legacy probe-by-probe log — the projection of [`Self::records`]
-    /// through [`TraceEvent::from_records`] (empty unless
-    /// [`SearchConfig::collect_trace`](crate::SearchConfig) is set).
-    #[deprecated(since = "0.2.0", note = "use `records` (the structured stream) instead")]
-    #[allow(deprecated)]
-    pub trace: Vec<TraceEvent>,
     /// Captured structured trace: span open/close records with
     /// parent/child nesting and one event per oracle probe (empty unless
     /// [`SearchConfig::collect_trace`](crate::SearchConfig) is set).
@@ -240,7 +167,7 @@ impl SearchReport {
     /// replacement, inferred type, triage flag). Two reports with equal
     /// payloads are indistinguishable to the user, which makes this the
     /// unit of comparison for the differential suites (the determinism
-    /// tests and the fuzzing harness's thread-identity oracle).
+    /// tests and the fuzzing harness's incremental-vs-scratch oracle).
     pub fn payload(&self) -> Vec<(String, String, Option<String>, bool)> {
         self.suggestions()
             .iter()
@@ -259,8 +186,7 @@ impl SearchReport {
 pub type CustomChange = Box<dyn Fn(&Expr) -> Vec<crate::change::Candidate> + Send + Sync>;
 
 /// The assembled search machinery — oracle, configuration, user
-/// changes, and sinks. [`crate::SearchSession`] is the public face;
-/// the deprecated [`Searcher`] wraps the same core.
+/// changes, and sinks. [`crate::SearchSession`] is the public face.
 pub(crate) struct SearchCore<O> {
     pub(crate) oracle: O,
     pub(crate) config: SearchConfig,
@@ -282,95 +208,8 @@ impl<O: std::fmt::Debug> std::fmt::Debug for SearchCore<O> {
     }
 }
 
-/// The original search entry point, superseded by the builder-based
-/// [`crate::SearchSession`]. This shim delegates to the same engine,
-/// so behavior is identical; only the construction API moved.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SearchSession::builder(oracle)` — `.threads(n)`, \
-            `.memoize(true)`, `.sink(s)`, `.custom_change(c)` replace \
-            `with_config`/`add_sink`/`add_change` mutation chains; \
-            request-shaped callers (CLI front ends, servers) should go \
-            through `seminal_serve::dispatch`, the single place that \
-            maps API requests onto `SearchConfig`/`Budget`"
-)]
-pub struct Searcher<O> {
-    core: SearchCore<O>,
-}
-
-#[allow(deprecated)]
-impl<O: std::fmt::Debug> std::fmt::Debug for Searcher<O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.core.fmt(f)
-    }
-}
-
-#[allow(deprecated)]
-impl<O: Oracle> Searcher<O> {
-    /// A searcher with the full-tool configuration.
-    pub fn new(oracle: O) -> Searcher<O> {
-        Searcher {
-            core: SearchCore {
-                oracle,
-                config: SearchConfig::default(),
-                extra_changes: Vec::new(),
-                sinks: Vec::new(),
-                handle: SearchHandle::new(),
-            },
-        }
-    }
-
-    /// A searcher with an explicit configuration (for the ablations).
-    pub fn with_config(oracle: O, config: SearchConfig) -> Searcher<O> {
-        Searcher {
-            core: SearchCore {
-                oracle,
-                config,
-                extra_changes: Vec::new(),
-                sinks: Vec::new(),
-                handle: SearchHandle::new(),
-            },
-        }
-    }
-
-    /// Registers a user-defined constructive change (§6's open framework).
-    /// The change is consulted at every node whose removal succeeds, like
-    /// the built-in families; candidates it proposes are oracle-validated
-    /// before they can become suggestions, so user changes cannot produce
-    /// unsound messages.
-    pub fn add_change(&mut self, change: CustomChange) -> &mut Searcher<O> {
-        self.core.extra_changes.push(change);
-        self
-    }
-
-    /// Attaches a trace sink: every search streams its structured records
-    /// into it (in addition to the in-report capture that
-    /// [`SearchConfig::collect_trace`](crate::SearchConfig) controls).
-    /// Use a [`seminal_obs::JsonlSink`] to persist traces, or a
-    /// [`seminal_obs::MemorySink`] to observe a search from tests.
-    pub fn add_sink(&mut self, sink: Arc<dyn TraceSink>) -> &mut Searcher<O> {
-        self.core.sinks.push(sink);
-        self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SearchConfig {
-        &self.core.config
-    }
-
-    /// Runs the full search on `prog`.
-    pub fn search(&self, prog: &Program) -> SearchReport {
-        self.core.search(prog)
-    }
-}
-
 impl<O: Oracle> SearchCore<O> {
-    /// Runs the full search on `prog`. At `config.threads == 1` this is
-    /// the sequential engine, byte-identical to the pre-engine tool; at
-    /// higher thread counts a [`ProbeEngine`] speculatively drains each
-    /// enumeration frontier into a sharded memo the sequential logic
-    /// consumes, so the suggestion set and ranks are unchanged while
-    /// wall-clock drops (see `crate::engine`).
+    /// Runs the full search on `prog`.
     pub(crate) fn search(&self, prog: &Program) -> SearchReport {
         // Queue wait under admission control is part of the deadline:
         // a request that waited 40ms of a 50ms deadline gets a 10ms
@@ -382,9 +221,6 @@ impl<O: Oracle> SearchCore<O> {
             .map(|d| d.saturating_sub(self.config.admission_lag))
             .map(|d| if d.is_zero() { Duration::from_nanos(1) } else { d });
         let budget = Budget::start(self.config.max_oracle_calls, deadline, self.handle.flag());
-        // Sinks are assembled before the engine so worker threads can
-        // share the tracer through its cloneable handle: every parallel
-        // probe then opens under the search span that caused it.
         let capture = if self.config.collect_trace {
             Some(Arc::new(MemorySink::new(self.config.trace_capacity)))
         } else {
@@ -403,22 +239,12 @@ impl<O: Oracle> SearchCore<O> {
             sinks.push(f.clone() as Arc<dyn TraceSink>);
         }
         let tracer = Tracer::new(sinks);
-        let engine = if self.config.threads > 1 {
-            Some(
-                ProbeEngine::with_halt(&self.oracle, self.config.threads, budget.clone())
-                    .with_trace(tracer.handle()),
-            )
-        } else {
-            None
-        };
-        self.run_search(prog, engine.as_ref(), budget, tracer, capture, flight)
+        self.run_search(prog, budget, tracer, capture, flight)
     }
 
-    #[allow(deprecated)]
     fn run_search(
         &self,
         prog: &Program,
-        engine: Option<&ProbeEngine<'_, O>>,
         budget: Budget,
         tracer: Tracer,
         capture: Option<Arc<MemorySink>>,
@@ -429,7 +255,6 @@ impl<O: Oracle> SearchCore<O> {
         let mut run = Run {
             oracle: &self.oracle,
             cfg: &self.config,
-            engine,
             extra_changes: &self.extra_changes,
             calls: 0,
             budget,
@@ -437,8 +262,6 @@ impl<O: Oracle> SearchCore<O> {
             probe_faults: 0,
             triage_used: false,
             suggestions: Vec::new(),
-            memo: HashMap::new(),
-            memo_hits: 0,
             tracer,
             probe_label: None,
             local: LocalMetrics::default(),
@@ -457,18 +280,12 @@ impl<O: Oracle> SearchCore<O> {
                 };
                 let records = capture.as_ref().map(|c| c.drain()).unwrap_or_default();
                 let mut metrics = run.local.snapshot(&stats, 0, Completion::Complete);
-                fold_engine_metrics(&mut metrics, engine);
-                fold_incremental_metrics(
-                    &mut metrics,
-                    inc_before,
-                    self.oracle.incremental_stats(),
-                );
+                fold_incremental_metrics(&mut metrics, inc_before, self.oracle.incremental_stats());
                 return SearchReport {
                     outcome: Outcome::WellTyped,
                     completion: Completion::Complete,
                     stats,
                     baseline: None,
-                    trace: TraceEvent::from_records(&records),
                     records,
                     metrics,
                     crash: None,
@@ -517,11 +334,6 @@ impl<O: Oracle> SearchCore<O> {
         }
         if first_bad == 0 {
             first_bad = prog.decls.len();
-            if run.wants_prefetch(prog.decls.len()) {
-                let prefixes: Vec<Program> =
-                    (1..=prog.decls.len()).map(|k| prog.prefix(k)).collect();
-                run.prefetch(&prefixes);
-            }
             for k in 1..=prog.decls.len() {
                 run.label(ProbeKind::Prefix, Span::DUMMY, || format!("first {k} declaration(s)"));
                 if !run.check(&prog.prefix(k)) {
@@ -571,7 +383,6 @@ impl<O: Oracle> SearchCore<O> {
             budget_exhausted: run.stop == Some(StopReason::BudgetExhausted),
             probe_faults: run.probe_faults,
             first_bad_decl: first_bad,
-            memo_hits: run.memo_hits,
             core_size,
             sites_pruned: run.sites_pruned,
             blame_time,
@@ -581,27 +392,24 @@ impl<O: Oracle> SearchCore<O> {
             run.local.trace_dropped = c.dropped();
         }
         let mut metrics = run.local.snapshot(&stats, suggestions.len() as u64, completion);
-        fold_engine_metrics(&mut metrics, engine);
         fold_incremental_metrics(&mut metrics, inc_before, self.oracle.incremental_stats());
         // Post-mortem evidence: whenever the run ends anything but
         // cleanly — a bound stopped it, or isolated probe faults thinned
         // the plan — the flight recorder's tail and the final metrics
         // freeze into a crash report the caller can persist.
-        let engine_faults = engine.map_or(0, |e| e.probe_faults());
-        let total_faults = stats.probe_faults.max(engine_faults);
         let crash = match &flight {
-            Some(f) if !completion.is_complete() || total_faults > 0 => {
+            Some(f) if !completion.is_complete() || stats.probe_faults > 0 => {
                 let (records, records_dropped) = f.snapshot();
                 let reason = if completion.is_complete() {
-                    format!("{total_faults} isolated probe fault(s)")
+                    format!("{} isolated probe fault(s)", stats.probe_faults)
                 } else {
                     format!("completion: {}", completion.tag())
                 };
                 Some(CrashReport {
                     reason,
                     completion: completion.tag().to_owned(),
-                    probe_faults: total_faults,
-                    threads: self.config.threads as u64,
+                    probe_faults: stats.probe_faults,
+                    threads: 1,
                     records_dropped,
                     records,
                     metrics: metrics.clone(),
@@ -619,7 +427,6 @@ impl<O: Oracle> SearchCore<O> {
             completion,
             stats,
             baseline: Some(baseline),
-            trace: TraceEvent::from_records(&records),
             records,
             metrics,
             crash,
@@ -633,24 +440,6 @@ fn src_span(span: Span) -> SrcSpan {
 
 fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Folds the probe engine's counters into a finished snapshot: the
-/// configured `probe_parallelism` gauge plus prefetch accounting. Only
-/// present when the parallel engine ran, so `threads = 1` snapshots are
-/// byte-identical to the sequential engine's.
-fn fold_engine_metrics<O: Oracle>(
-    metrics: &mut MetricsSnapshot,
-    engine: Option<&ProbeEngine<'_, O>>,
-) {
-    let Some(e) = engine else { return };
-    let c = &mut metrics.counters;
-    c.insert("probe_parallelism".to_owned(), e.threads() as u64);
-    c.insert("engine.prefetched".to_owned(), e.prefetched());
-    c.insert("engine.batches".to_owned(), e.batches());
-    c.insert("engine.largest_batch".to_owned(), e.largest_batch());
-    c.insert("engine.speculative_waste".to_owned(), e.memo().unconsumed());
-    c.insert("engine.probe_faults".to_owned(), e.probe_faults());
 }
 
 /// Folds the incremental oracle's counter deltas (cumulative stats
@@ -684,9 +473,6 @@ fn fold_incremental_metrics(
 #[derive(Debug, Default)]
 struct LocalMetrics {
     oracle_latency: Histogram,
-    /// Latency each memo hit saved (the original call's cost), kept out
-    /// of `oracle_latency` so cache hits cannot skew its low buckets.
-    memo_hit_saved: Histogram,
     descend_depth: Histogram,
     max_depth: u64,
     probes: [u64; ProbeKind::METRIC_KEYS.len()],
@@ -712,7 +498,6 @@ impl LocalMetrics {
         let mut snap = MetricsSnapshot::default();
         let c = &mut snap.counters;
         c.insert("oracle_calls".to_owned(), stats.oracle_calls);
-        c.insert("memo_hits".to_owned(), stats.memo_hits);
         c.insert("probe_faults".to_owned(), stats.probe_faults);
         c.insert("completion".to_owned(), completion.metric_code());
         c.insert("suggestions".to_owned(), suggestions);
@@ -742,9 +527,6 @@ impl LocalMetrics {
         }
         if self.oracle_latency.count > 0 {
             snap.histograms.insert("oracle.latency_ns".to_owned(), self.oracle_latency.clone());
-        }
-        if self.memo_hit_saved.count > 0 {
-            snap.histograms.insert("memo.hit_saved_ns".to_owned(), self.memo_hit_saved.clone());
         }
         if self.descend_depth.count > 0 {
             snap.histograms.insert("descend.depth".to_owned(), self.descend_depth.clone());
@@ -816,28 +598,19 @@ fn build_meta(
 struct Run<'a, O> {
     oracle: &'a O,
     cfg: &'a SearchConfig,
-    /// Parallel probe engine (`None` at `threads == 1`, where the run
-    /// is the literal sequential engine).
-    engine: Option<&'a ProbeEngine<'a, O>>,
     extra_changes: &'a [CustomChange],
     calls: u64,
     /// The run's bounds: call cap, deadline, cancellation. Consulted
-    /// before every probe; the engine holds a clone for its workers.
+    /// before every probe.
     budget: Budget,
     /// The first bound that tripped, sticky for the rest of the run so
     /// the completion reports one coherent reason.
     stop: Option<StopReason>,
-    /// Probes whose oracle call panicked and was isolated (each is a
-    /// logical probe alongside `calls` and `memo_hits`, never double
-    /// counted).
+    /// Probes whose oracle call panicked and was isolated (never also
+    /// counted in `calls`), plus panicking enumeration steps.
     probe_faults: u64,
     triage_used: bool,
     suggestions: Vec<Suggestion>,
-    /// Sequential memo ([`SearchConfig::memoize_oracle`]): verdict plus
-    /// the original call's latency, so hits can report saved cost. The
-    /// parallel engine uses its own sharded memo instead.
-    memo: HashMap<String, (ProbeOutcome, u64)>,
-    memo_hits: u64,
     /// Structured-trace emitter (inert unless sinks are attached).
     tracer: Tracer,
     /// Typed label for the next probe's trace event and family counter.
@@ -873,7 +646,7 @@ impl<O: Oracle> Run<'_, O> {
         self.probe_label = Some((ProbeKind::Baseline, String::new(), Span::DUMMY));
         let outcome =
             if faulted { ProbeOutcome::Faulted } else { ProbeOutcome::from_verdict(&verdict) };
-        self.record_probe(outcome, false, latency_ns);
+        self.record_probe(outcome, latency_ns);
         verdict
     }
 
@@ -886,87 +659,26 @@ impl<O: Oracle> Run<'_, O> {
         self.stop.is_some()
     }
 
-    /// Bounded boolean oracle query, optionally memoized; always counted
-    /// and timed, and emitted as a structured probe event when tracing.
-    /// Oracle panics are isolated ([`guarded_probe`]): a faulted probe
-    /// reads as "did not type-check", is memoized like any verdict, and
-    /// is tallied in `probe_faults` instead of `calls`.
-    ///
-    /// With the parallel engine active, verdicts come from its sharded
-    /// memo: the first read of a prefetched entry is accounted as the
-    /// probe the sequential engine would have issued here (counted in
-    /// `calls`, with the worker-measured latency); later reads of the
-    /// same rendered variant are memo hits. A miss falls through to a
-    /// direct oracle call whose verdict is cached for later rounds.
+    /// Bounded boolean oracle query; always counted and timed, and
+    /// emitted as a structured probe event when tracing. Oracle panics
+    /// are isolated ([`guarded_probe`]): a faulted probe reads as "did
+    /// not type-check" and is tallied in `probe_faults` instead of
+    /// `calls`.
     fn check(&mut self, prog: &Program) -> bool {
         if self.halted() {
             self.probe_label = None;
             return false;
         }
-        let (outcome, cached, latency_ns) = if let Some(engine) = self.engine {
-            let key = seminal_ml::pretty::program_to_string(prog);
-            match engine.memo().consume(&key) {
-                MemoLookup::Fresh { verdict, latency_ns } => (verdict, false, latency_ns),
-                MemoLookup::Hit { verdict, saved_ns } => {
-                    self.local.memo_hit_saved.observe(saved_ns);
-                    (verdict, true, 0)
-                }
-                MemoLookup::Miss => {
-                    let clock = Instant::now();
-                    let outcome = guarded_probe(self.oracle, prog);
-                    let latency_ns = duration_ns(clock.elapsed());
-                    engine.memo().insert(key, outcome, latency_ns, true);
-                    (outcome, false, latency_ns)
-                }
-            }
-        } else if self.cfg.memoize_oracle {
-            let key = seminal_ml::pretty::program_to_string(prog);
-            if let Some(&(outcome, saved_ns)) = self.memo.get(&key) {
-                self.local.memo_hit_saved.observe(saved_ns);
-                (outcome, true, 0)
-            } else {
-                let clock = Instant::now();
-                let outcome = guarded_probe(self.oracle, prog);
-                let latency_ns = duration_ns(clock.elapsed());
-                self.memo.insert(key, (outcome, latency_ns));
-                (outcome, false, latency_ns)
-            }
-        } else {
-            let clock = Instant::now();
-            let outcome = guarded_probe(self.oracle, prog);
-            (outcome, false, duration_ns(clock.elapsed()))
-        };
-        // Every logical probe is exactly one of: a memo hit, a fault, or
-        // an oracle call — so the three tallies reconcile at any thread
-        // count.
-        if cached {
-            self.memo_hits += 1;
-        } else if outcome.faulted() {
+        let clock = Instant::now();
+        let outcome = guarded_probe(self.oracle, prog);
+        let latency_ns = duration_ns(clock.elapsed());
+        if outcome.faulted() {
             self.probe_faults += 1;
         } else {
             self.calls += 1;
         }
-        self.record_probe(outcome, cached, latency_ns);
+        self.record_probe(outcome, latency_ns);
         outcome.passed()
-    }
-
-    /// Whether a frontier of `frontier` candidate variants is worth
-    /// handing to the parallel engine.
-    fn wants_prefetch(&self, frontier: usize) -> bool {
-        frontier >= 2 && self.engine.is_some() && self.calls < self.cfg.max_oracle_calls
-    }
-
-    /// Speculatively evaluates a frontier into the engine's memo,
-    /// capped at the remaining oracle budget so speculation cannot run
-    /// far past `max_oracle_calls`.
-    fn prefetch(&self, variants: &[Program]) {
-        if let Some(engine) = self.engine {
-            let room = self.cfg.max_oracle_calls.saturating_sub(self.calls);
-            let cap = usize::try_from(room).unwrap_or(usize::MAX).min(variants.len());
-            if cap > 0 {
-                engine.prefetch_under(&variants[..cap], self.tracer.context());
-            }
-        }
     }
 
     /// Labels the next `check` call's probe. The target string is only
@@ -981,11 +693,11 @@ impl<O: Oracle> Run<'_, O> {
     /// Faulted probes are kept out of the oracle-latency histogram (the
     /// panic's cost is not an oracle latency), so the histogram count
     /// still equals `oracle_calls`.
-    fn record_probe(&mut self, outcome: ProbeOutcome, cached: bool, latency_ns: u64) {
+    fn record_probe(&mut self, outcome: ProbeOutcome, latency_ns: u64) {
         let (probe, target, span) =
             self.probe_label.take().unwrap_or((ProbeKind::Other, String::new(), Span::DUMMY));
         self.local.probes[probe.metric_index()] += 1;
-        if !cached && !outcome.faulted() {
+        if !outcome.faulted() {
             self.local.oracle_latency.observe(latency_ns);
         }
         if self.tracer.enabled() {
@@ -994,7 +706,6 @@ impl<O: Oracle> Run<'_, O> {
                 target,
                 span: src_span(span),
                 outcome: outcome.passed(),
-                cached,
                 faulted: outcome.faulted(),
                 latency_ns,
             });
@@ -1143,13 +854,6 @@ impl<O: Oracle> Run<'_, O> {
         if let Some(guidance) = &self.guidance {
             children.sort_by_key(|&(_, span)| std::cmp::Reverse(guidance.milli_score_at(span)));
         }
-        // Speculative frontier: each child's own removal probe — the
-        // first oracle query its recursive visit will issue.
-        if self.wants_prefetch(children.len()) {
-            let variants: Vec<Program> =
-                children.iter().map(|&(id, _)| edit::remove_expr(&scope.prog, id)).collect();
-            self.prefetch(&variants);
-        }
         let mut any_child = false;
         for (c, _) in children {
             if self.search_expr(scope, c, triage_depth, triaged, removed_siblings) {
@@ -1280,28 +984,6 @@ impl<O: Oracle> Run<'_, O> {
             None
         };
 
-        // Speculative frontier: every first-wave probe at this node.
-        // Gated second waves are withheld until their gate's verdict.
-        let frontier =
-            probes.len() + extra_candidates.len() + usize::from(adapt_candidate.is_some());
-        if self.wants_prefetch(frontier) {
-            let mut variants = Vec::with_capacity(frontier);
-            for probe in &probes {
-                let head = match probe {
-                    crate::change::Probe::One(c) => &c.replacement,
-                    crate::change::Probe::Gated { gate, .. } => gate,
-                };
-                variants.push(edit::replace_expr(&scope.prog, node.id, head.clone()));
-            }
-            for c in &extra_candidates {
-                variants.push(edit::replace_expr(&scope.prog, node.id, c.replacement.clone()));
-            }
-            if let Some(adapted) = &adapt_candidate {
-                variants.push(edit::replace_expr(&scope.prog, node.id, adapted.clone()));
-            }
-            self.prefetch(&variants);
-        }
-
         // Constructive changes (§2.2).
         for probe in probes {
             if self.done() {
@@ -1324,15 +1006,6 @@ impl<O: Oracle> Run<'_, O> {
                     let gate_variant = edit::replace_expr(&scope.prog, node.id, gate);
                     self.label(ProbeKind::Gate, node.span, || expr_to_string(node));
                     if self.check(&gate_variant) {
-                        if self.wants_prefetch(then.len()) {
-                            let variants: Vec<Program> = then
-                                .iter()
-                                .map(|c| {
-                                    edit::replace_expr(&scope.prog, node.id, c.replacement.clone())
-                                })
-                                .collect();
-                            self.prefetch(&variants);
-                        }
                         for c in then {
                             if self.done() {
                                 break;
@@ -1507,21 +1180,6 @@ impl<O: Oracle> Run<'_, O> {
                 return;
             }
             let others: Vec<NodeId> = members.iter().copied().filter(|&m| m != focus).collect();
-            // Speculative frontier: every widening of this focus's
-            // removed-sibling context.
-            if self.wants_prefetch(others.len()) {
-                let variants: Vec<Program> = (1..=others.len())
-                    .map(|j| {
-                        let removed = &others[others.len() - j..];
-                        let mut probe_edit = Edit::new().remove_expr(focus);
-                        for &r in removed {
-                            probe_edit = probe_edit.remove_expr(r);
-                        }
-                        edit::apply(&scope.prog, &probe_edit)
-                    })
-                    .collect();
-                self.prefetch(&variants);
-            }
             // j = 0 (focus removed alone) is already known to fail — the
             // regular search tried it before entering triage.
             for j in 1..=others.len() {
@@ -1633,21 +1291,6 @@ impl<O: Oracle> Run<'_, O> {
             }
             let others: Vec<NodeId> =
                 pats.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, p)| *p).collect();
-            // Speculative frontier: this focus pattern wildcarded with
-            // each cumulative widening of wildcarded siblings.
-            if self.wants_prefetch(others.len() + 1) {
-                let variants: Vec<Program> = (0..=others.len())
-                    .map(|j| {
-                        let removed = &others[others.len() - j..];
-                        let mut probe = Edit::new().replace_pat(focus, Pat::wild(Span::DUMMY));
-                        for &r in removed {
-                            probe = probe.replace_pat(r, Pat::wild(Span::DUMMY));
-                        }
-                        edit::apply(&scope.prog, &probe)
-                    })
-                    .collect();
-                self.prefetch(&variants);
-            }
             for j in 0..=others.len() {
                 let removed = &others[others.len() - j..];
                 let mut probe = Edit::new().replace_pat(focus, Pat::wild(Span::DUMMY));

@@ -1,8 +1,7 @@
 //! `SearchSession`: the unified builder entry point for running
 //! searches.
 //!
-//! One construction path replaces the `Searcher::new` /
-//! `Searcher::with_config` / `add_change` / `add_sink` mutation chains:
+//! One construction path for every search:
 //!
 //! ```
 //! use seminal_core::SearchSession;
@@ -11,8 +10,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let session = SearchSession::builder(TypeCheckOracle::new())
-//!     .threads(2)
-//!     .memoize(true)
+//!     .deadline_ms(5_000)
 //!     .build()?;
 //! let prog = parse_program("let x = 1 + true")?;
 //! let report = session.search(&prog);
@@ -41,8 +39,7 @@ use std::time::Duration;
 ///
 /// Sessions borrow nothing and share nothing mutable, so one session
 /// can serve many programs, and `&session` handles can run searches
-/// from several threads at once (each search keeps its own memo and
-/// engine).
+/// from several threads at once (each search keeps its own state).
 pub struct SearchSession<O> {
     core: SearchCore<O>,
 }
@@ -116,21 +113,6 @@ impl<O: Oracle> SearchSessionBuilder<O> {
         let builder = SearchConfigBuilder::from_config(self.config);
         // Defer validation to `build` so errors surface in one place.
         self.config = f(builder).build_unchecked();
-        self
-    }
-
-    /// Worker threads for the parallel probe engine (validated `>= 1`
-    /// at build; 1 = the sequential engine).
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = n;
-        self
-    }
-
-    /// Memoize oracle verdicts by rendered program text.
-    #[must_use]
-    pub fn memoize(mut self, on: bool) -> Self {
-        self.config.memoize_oracle = on;
         self
     }
 
@@ -228,16 +210,15 @@ mod tests {
     #[test]
     fn builder_assembles_and_validates() {
         let session = SearchSession::builder(TypeCheckOracle::new())
-            .threads(2)
-            .memoize(true)
+            .deadline_ms(50)
             .collect_trace(true)
             .build()
             .unwrap();
-        assert_eq!(session.config().threads, 2);
-        assert!(session.config().memoize_oracle && session.config().collect_trace);
+        assert_eq!(session.config().deadline, Some(Duration::from_millis(50)));
+        assert!(session.config().collect_trace);
 
-        let err = SearchSession::builder(TypeCheckOracle::new()).threads(0).build();
-        assert!(matches!(err, Err(ConfigError::ZeroThreads)));
+        let err = SearchSession::builder(TypeCheckOracle::new()).flight_capacity(0).build();
+        assert!(matches!(err, Err(ConfigError::ZeroFlightCapacity)));
     }
 
     #[test]

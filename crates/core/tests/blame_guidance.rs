@@ -44,15 +44,7 @@ const SCENARIOS: &[(&str, &str)] = &[
 
 fn run(src: &str, cfg: SearchConfig) -> SearchReport {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
-    // threads(1): these tests compare exact oracle-call costs between
-    // configurations, which only makes sense on the sequential path
-    // (the engine's shared memo would fold duplicate probes into hits).
-    SearchSession::builder(TypeCheckOracle::new())
-        .config(cfg)
-        .threads(1)
-        .build()
-        .unwrap()
-        .search(&prog)
+    SearchSession::builder(TypeCheckOracle::new()).config(cfg).build().unwrap().search(&prog)
 }
 
 fn keys(report: &SearchReport) -> Vec<(String, String)> {
@@ -167,10 +159,13 @@ fn guided_search_is_deterministic() {
 }
 
 #[test]
-#[allow(deprecated)] // asserts on the legacy flat-trace shim
 fn guided_trace_still_records_a_prefix_event() {
+    use seminal_core::obs::{EventKind, TraceRecord};
     let src = SCENARIOS[0].1; // figure2
     let cfg = SearchConfig { collect_trace: true, ..SearchConfig::default() };
     let report = run(src, cfg);
-    assert!(report.trace.iter().any(|t| t.action == "prefix"));
+    assert!(report
+        .records
+        .iter()
+        .any(|r| matches!(r, TraceRecord::Event { kind: EventKind::PrefixLocalized { .. }, .. })));
 }

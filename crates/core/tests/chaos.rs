@@ -1,16 +1,14 @@
 //! The chaos suite: degradation invariants under deterministic fault
 //! injection.
 //!
-//! A [`ChaosOracle`] panics on a seeded, text-keyed fraction of probes —
-//! the same variants fault at every thread count — and the search must
-//! absorb every injection: finish, rank best-so-far suggestions, report
-//! `Completion::Degraded` with an exact fault count, and keep the probe
-//! accounting identity `oracle_calls + memo_hits + probe_faults`
-//! constant across thread counts. Cancellation and deadlines degrade the
-//! same way: cooperative stop, best-so-far payload, honest completion.
-
-//! Since the checkpointed incremental oracle landed, the whole suite is
-//! additionally pinned in **both** oracle modes: chaos wraps *outside*
+//! A [`ChaosOracle`] panics on a seeded, text-keyed fraction of probes,
+//! and the search must absorb every injection: finish, rank best-so-far
+//! suggestions, report `Completion::Degraded` with an exact fault count,
+//! and account for every oracle call as either `oracle_calls` or
+//! `probe_faults`. Cancellation and deadlines degrade the same way:
+//! cooperative stop, best-so-far payload, honest completion.
+//!
+//! The suite is pinned in **both** oracle modes: chaos wraps *outside*
 //! the checkpointed oracle and injection decisions are a pure function
 //! of rendered text and seed, so the same variants must fault — and the
 //! payloads, completions, and probe accounting must stay identical —
@@ -20,7 +18,9 @@
 
 use seminal_core::{Completion, SearchReport, SearchSession};
 use seminal_ml::parser::parse_program;
-use seminal_typeck::{ChaosConfig, ChaosOracle, CheckpointedOracle, TypeCheckOracle};
+use seminal_typeck::{
+    ChaosConfig, ChaosOracle, CheckpointedOracle, CountingOracle, TypeCheckOracle,
+};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
@@ -51,9 +51,7 @@ const SCENARIOS: &[(&str, &str)] = &[
     ("missing_rec", "let fact n = if n = 0 then 1 else n * fact (n - 1)"),
 ];
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Ten percent nominal panic rate — the ISSUE's headline chaos load.
+/// Ten percent nominal panic rate — the headline chaos load.
 const PANIC_PER_MILLE: u16 = 100;
 
 /// Installs a process-wide panic hook that swallows the expected
@@ -78,18 +76,18 @@ fn quiet_chaos_panics() {
     });
 }
 
-fn run_chaotic(src: &str, seed: u64, threads: usize) -> SearchReport {
-    run_chaotic_mode(src, seed, threads, true)
+fn run_chaotic(src: &str, seed: u64) -> SearchReport {
+    run_chaotic_mode(src, seed, true)
 }
 
-fn run_chaotic_mode(src: &str, seed: u64, threads: usize, incremental: bool) -> SearchReport {
+fn run_chaotic_mode(src: &str, seed: u64, incremental: bool) -> SearchReport {
     quiet_chaos_panics();
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
     let oracle = ChaosOracle::new(
         CheckpointedOracle::with_enabled(incremental),
         ChaosConfig::panics(seed, PANIC_PER_MILLE),
     );
-    SearchSession::builder(oracle).threads(threads).memoize(true).build().unwrap().search(&prog)
+    SearchSession::builder(oracle).build().unwrap().search(&prog)
 }
 
 /// The user-visible payload: every suggestion in rank order.
@@ -106,7 +104,7 @@ fn every_chaotic_search_finishes_and_reports_faults_honestly() {
     let mut faulted_somewhere = false;
     for (name, src) in SCENARIOS {
         for seed in [1, 7, 42] {
-            let report = run_chaotic(src, seed, 1);
+            let report = run_chaotic(src, seed);
             match report.completion {
                 Completion::Complete => {
                     assert_eq!(report.stats.probe_faults, 0, "{name}/{seed}: hidden faults");
@@ -132,49 +130,26 @@ fn every_chaotic_search_finishes_and_reports_faults_honestly() {
 }
 
 #[test]
-fn chaotic_payloads_and_completion_are_identical_across_thread_counts() {
+fn chaotic_probe_accounting_matches_the_raw_oracle() {
+    // Every oracle call is exactly one of: a real verdict (counted in
+    // `oracle_calls`) or an isolated fault — in either oracle mode.
+    quiet_chaos_panics();
     for incremental in [true, false] {
         for (name, src) in SCENARIOS {
-            let base = run_chaotic_mode(src, 42, 1, incremental);
-            for threads in [2, 8] {
-                let par = run_chaotic_mode(src, 42, threads, incremental);
-                assert_eq!(
-                    payload(&base),
-                    payload(&par),
-                    "{name} (incremental={incremental}): \
-                     chaotic payload changed at {threads} threads"
-                );
-                assert_eq!(
-                    base.completion, par.completion,
-                    "{name} (incremental={incremental}): \
-                     completion changed at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn chaotic_probe_accounting_reconciles_across_thread_counts() {
-    // Every logical probe is exactly one of: real oracle call, memo hit,
-    // isolated fault. The partition varies with the schedule; the sum
-    // may not — in either oracle mode.
-    for incremental in [true, false] {
-        for (name, src) in SCENARIOS {
-            let base = run_chaotic_mode(src, 42, 1, incremental);
-            let logical = base.stats.oracle_calls + base.stats.memo_hits + base.stats.probe_faults;
-            for threads in [2, 8] {
-                let par = run_chaotic_mode(src, 42, threads, incremental);
-                assert_eq!(
-                    par.stats.oracle_calls + par.stats.memo_hits + par.stats.probe_faults,
-                    logical,
-                    "{name} (incremental={incremental}): probe accounting diverged at \
-                     {threads} threads ({} calls + {} hits + {} faults, sequential was {logical})",
-                    par.stats.oracle_calls,
-                    par.stats.memo_hits,
-                    par.stats.probe_faults,
-                );
-            }
+            let prog = parse_program(src).unwrap();
+            let oracle = CountingOracle::new(ChaosOracle::new(
+                CheckpointedOracle::with_enabled(incremental),
+                ChaosConfig::panics(42, PANIC_PER_MILLE),
+            ));
+            let report = SearchSession::builder(&oracle).build().unwrap().search(&prog);
+            assert_eq!(
+                oracle.calls(),
+                report.stats.oracle_calls + report.stats.probe_faults,
+                "{name} (incremental={incremental}): {} raw calls vs {} calls + {} faults",
+                oracle.calls(),
+                report.stats.oracle_calls,
+                report.stats.probe_faults,
+            );
         }
     }
 }
@@ -183,69 +158,52 @@ fn chaotic_probe_accounting_reconciles_across_thread_counts() {
 fn chaotic_runs_are_identical_between_incremental_and_scratch_oracles() {
     // Injection decisions are text-keyed, so the same variants fault in
     // both oracle modes; everything user-visible — payload, completion,
-    // and the full probe accounting partition — must therefore be
-    // byte-identical between the checkpointed and scratch paths, at
-    // every pinned thread count.
+    // and the probe accounting — must therefore be byte-identical
+    // between the checkpointed and scratch paths.
     for (name, src) in SCENARIOS {
-        for threads in THREAD_COUNTS {
-            let incr = run_chaotic_mode(src, 42, threads, true);
-            let scratch = run_chaotic_mode(src, 42, threads, false);
-            assert_eq!(
-                payload(&incr),
-                payload(&scratch),
-                "{name} at {threads} threads: payload depends on the oracle mode"
-            );
-            assert_eq!(
-                incr.completion, scratch.completion,
-                "{name} at {threads} threads: completion depends on the oracle mode"
-            );
-            assert_eq!(
-                (incr.stats.oracle_calls, incr.stats.memo_hits, incr.stats.probe_faults),
-                (scratch.stats.oracle_calls, scratch.stats.memo_hits, scratch.stats.probe_faults),
-                "{name} at {threads} threads: probe accounting depends on the oracle mode"
-            );
-        }
+        let incr = run_chaotic_mode(src, 42, true);
+        let scratch = run_chaotic_mode(src, 42, false);
+        assert_eq!(payload(&incr), payload(&scratch), "{name}: payload depends on the oracle mode");
+        assert_eq!(
+            incr.completion, scratch.completion,
+            "{name}: completion depends on the oracle mode"
+        );
+        assert_eq!(
+            (incr.stats.oracle_calls, incr.stats.probe_faults),
+            (scratch.stats.oracle_calls, scratch.stats.probe_faults),
+            "{name}: probe accounting depends on the oracle mode"
+        );
     }
 }
 
 #[test]
 fn faulted_probes_stay_out_of_the_oracle_latency_histogram() {
     for (name, src) in SCENARIOS {
-        for threads in THREAD_COUNTS {
-            let report = run_chaotic(src, 42, threads);
-            let observed =
-                report.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
-            assert_eq!(
-                observed, report.stats.oracle_calls,
-                "{name} at {threads} threads: histogram must hold real calls only"
-            );
-        }
+        let report = run_chaotic(src, 42);
+        let observed = report.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
+        assert_eq!(
+            observed, report.stats.oracle_calls,
+            "{name}: histogram must hold real calls only"
+        );
     }
 }
 
 #[test]
 fn cancellation_is_cooperative_sticky_and_honest() {
     let prog = parse_program(SCENARIOS[0].1).unwrap();
-    for threads in THREAD_COUNTS {
-        let session =
-            SearchSession::builder(TypeCheckOracle::new()).threads(threads).build().unwrap();
-        session.handle().cancel();
-        let report = session.search(&prog);
-        assert_eq!(
-            report.completion,
-            Completion::Cancelled,
-            "pre-cancelled search must report Cancelled at {threads} threads"
-        );
-        // Sticky: the same session stays cancelled for later searches.
-        let again = session.search(&prog);
-        assert_eq!(again.completion, Completion::Cancelled);
-    }
+    let session = SearchSession::builder(TypeCheckOracle::new()).build().unwrap();
+    session.handle().cancel();
+    let report = session.search(&prog);
+    assert_eq!(report.completion, Completion::Cancelled, "pre-cancelled search must say so");
+    // Sticky: the same session stays cancelled for later searches.
+    let again = session.search(&prog);
+    assert_eq!(again.completion, Completion::Cancelled);
 }
 
 #[test]
 fn cancelling_mid_search_still_returns_a_report() {
     let prog = parse_program(SCENARIOS[2].1).unwrap();
-    let session = SearchSession::builder(TypeCheckOracle::new()).threads(2).build().unwrap();
+    let session = SearchSession::builder(TypeCheckOracle::new()).build().unwrap();
     let handle = session.handle();
     std::thread::scope(|s| {
         s.spawn(move || handle.cancel());
@@ -261,36 +219,32 @@ fn cancelling_mid_search_still_returns_a_report() {
 }
 
 #[test]
-fn deadline_expiry_degrades_gracefully_without_leaking_workers() {
+fn deadline_expiry_degrades_gracefully() {
     quiet_chaos_panics();
     // Delay-injected probes make the tiny deadline certain to expire
-    // mid-search at every thread count.
+    // mid-search.
     let prog = parse_program(SCENARIOS[0].1).unwrap();
-    for threads in THREAD_COUNTS {
-        let oracle = ChaosOracle::new(
-            TypeCheckOracle::new(),
-            ChaosConfig::delays(5, 1000, Duration::from_millis(2)),
-        );
-        let started = Instant::now();
-        let report = SearchSession::builder(oracle)
-            .threads(threads)
-            .deadline(Some(Duration::from_millis(5)))
-            .build()
-            .unwrap()
-            .search(&prog);
-        assert_eq!(
-            report.completion,
-            Completion::DeadlineExpired,
-            "slow probes against a 5ms deadline must expire at {threads} threads"
-        );
-        // Scoped workers join before `search` returns; a leak or a
-        // non-cooperative worker would blow well past this bound.
-        assert!(
-            started.elapsed() < Duration::from_secs(10),
-            "search took {:?} at {threads} threads — workers did not stop",
-            started.elapsed()
-        );
-    }
+    let oracle = ChaosOracle::new(
+        TypeCheckOracle::new(),
+        ChaosConfig::delays(5, 1000, Duration::from_millis(2)),
+    );
+    let started = Instant::now();
+    let report = SearchSession::builder(oracle)
+        .deadline(Some(Duration::from_millis(5)))
+        .build()
+        .unwrap()
+        .search(&prog);
+    assert_eq!(
+        report.completion,
+        Completion::DeadlineExpired,
+        "slow probes against a 5ms deadline must expire"
+    );
+    // A non-cooperative search would blow well past this bound.
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "search took {:?} — it did not stop at the deadline",
+        started.elapsed()
+    );
 }
 
 #[test]

@@ -1,9 +1,13 @@
 //! End-to-end search tests: every worked example in the paper, plus the
 //! system's core soundness invariant (all suggested variants type-check).
 
-use seminal_core::{message, ChangeKind, Outcome, SearchConfig, SearchSession};
+use seminal_core::obs::{EventKind, ProbeKind, TraceRecord};
+use seminal_core::{
+    message, ChangeKind, CrossRequestMemo, Outcome, SearchConfig, SearchSession, SharedMemoOracle,
+};
 use seminal_ml::parser::parse_program;
 use seminal_typeck::{check_program, CountingOracle, TypeCheckOracle};
+use std::sync::Arc;
 
 fn search(src: &str) -> seminal_core::SearchReport {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
@@ -282,10 +286,9 @@ fn every_untriaged_suggestion_variant_type_checks() {
 fn oracle_calls_are_counted_and_bounded() {
     let prog = parse_program(FIGURE2).unwrap();
     let oracle = CountingOracle::new(TypeCheckOracle::new());
-    // threads(1): raw-oracle accounting must not include speculative
-    // prefetch waste, so don't let SEMINAL_THREADS enable the engine.
-    let report = SearchSession::builder(&oracle).threads(1).build().unwrap().search(&prog);
-    assert!(report.stats.oracle_calls >= oracle.calls());
+    let report = SearchSession::builder(&oracle).build().unwrap().search(&prog);
+    // No hidden cache and no speculation: every real call is accounted.
+    assert_eq!(oracle.calls(), report.stats.oracle_calls + report.stats.probe_faults);
     assert!(oracle.calls() > 5, "search must actually consult the oracle");
     assert!(oracle.calls() < 5_000, "search should not explode: {}", oracle.calls());
 }
@@ -387,58 +390,73 @@ fn search_is_deterministic() {
 
 #[test]
 fn memoized_search_gives_identical_results_with_fewer_calls() {
-    let cfg = SearchConfig { memoize_oracle: true, ..SearchConfig::default() };
-    let plain = search(FIGURE2);
-    let memo = search_cfg(FIGURE2, cfg);
-    let keys = |r: &seminal_core::SearchReport| {
-        r.suggestions()
-            .iter()
-            .map(|s| (s.original_str.clone(), s.replacement_str.clone()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(keys(&plain), keys(&memo), "memoization must not change results");
-    assert!(
-        memo.stats.oracle_calls + memo.stats.memo_hits >= plain.stats.oracle_calls,
-        "probe count accounting"
+    // Verdict caching lives below the search, as an oracle wrapper: a
+    // fresh memo gives a per-search cache.
+    let prog = parse_program(FIGURE2).unwrap();
+    let plain_oracle = CountingOracle::new(TypeCheckOracle::new());
+    let plain = SearchSession::builder(&plain_oracle).build().unwrap().search(&prog);
+    let real = CountingOracle::new(TypeCheckOracle::new());
+    let memo_oracle = SharedMemoOracle::new(&real, Arc::new(CrossRequestMemo::default()));
+    let memo = SearchSession::builder(&memo_oracle).build().unwrap().search(&prog);
+    assert_eq!(plain.payload(), memo.payload(), "memoization must not change results");
+    assert_eq!(
+        memo.stats.oracle_calls, plain.stats.oracle_calls,
+        "the search issues the same probes either way"
     );
     assert!(
-        memo.stats.oracle_calls <= plain.stats.oracle_calls,
-        "memoized calls {} should not exceed plain {}",
-        memo.stats.oracle_calls,
-        plain.stats.oracle_calls
+        real.calls() <= plain_oracle.calls(),
+        "memoized real calls {} should not exceed plain {}",
+        real.calls(),
+        plain_oracle.calls()
     );
 }
 
+/// The probe log read off the structured trace: one `(action, target,
+/// success)` per oracle probe after the baseline check, plus a `prefix`
+/// entry for blame-localized prefix inference.
+fn probe_log(report: &seminal_core::SearchReport) -> Vec<(String, String, bool)> {
+    report
+        .records
+        .iter()
+        .filter_map(|rec| match rec {
+            TraceRecord::Event {
+                kind: EventKind::OracleProbe { probe, target, outcome, .. },
+                ..
+            } if !matches!(probe, ProbeKind::Baseline) => {
+                Some((probe.legacy_action(), target.clone(), *outcome))
+            }
+            TraceRecord::Event { kind: EventKind::PrefixLocalized { detail, .. }, .. } => {
+                Some(("prefix".to_owned(), detail.clone(), false))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
-#[allow(deprecated)] // exercises the legacy flat-trace shim
 fn trace_records_every_probe() {
     let cfg = SearchConfig { collect_trace: true, ..SearchConfig::default() };
     let report = search_cfg(FIGURE2, cfg);
-    // One trace event per oracle call after the initial whole-program
-    // check (the first check happens before tracing-relevant probes but
-    // still records as a plain probe if labeled).
+    let log = probe_log(&report);
+    // One probe event per oracle call after the initial whole-program
+    // check, plus the synthetic prefix entry.
     assert!(
-        report.trace.len() as u64 >= report.stats.oracle_calls - 1,
+        log.len() as u64 >= report.stats.oracle_calls - 1,
         "trace {} vs calls {}",
-        report.trace.len(),
+        log.len(),
         report.stats.oracle_calls
     );
     // The famous probes appear, with outcomes.
-    assert!(report
-        .trace
+    assert!(log
         .iter()
-        .any(|t| t.action == "removal" && t.target == "fun (x, y) -> x + y" && t.success));
-    assert!(report.trace.iter().any(|t| t.action.contains("curried") && t.success));
-    assert!(report.trace.iter().any(|t| t.action == "prefix"));
-    assert!(report.trace.iter().any(|t| !t.success), "failed probes are recorded too");
+        .any(|(action, target, ok)| action == "removal" && target == "fun (x, y) -> x + y" && *ok));
+    assert!(log.iter().any(|(action, _, ok)| action.contains("curried") && *ok));
+    assert!(log.iter().any(|(action, _, _)| action == "prefix"));
+    assert!(log.iter().any(|(_, _, ok)| !ok), "failed probes are recorded too");
 }
 
 #[test]
-#[allow(deprecated)] // exercises the legacy flat-trace shim
 fn trace_off_by_default() {
-    // threads(1): the parallel engine's shared memo produces memo hits by
-    // design, so pin the sequential path for the memo_hits == 0 check.
-    let report = search_cfg(FIGURE2, SearchConfig { threads: 1, ..SearchConfig::default() });
-    assert!(report.trace.is_empty());
-    assert_eq!(report.stats.memo_hits, 0);
+    let report = search(FIGURE2);
+    assert!(report.records.is_empty());
 }

@@ -1,6 +1,6 @@
 //! Executable specification of the structured trace: nesting and
 //! ordering invariants, exact reconciliation of probe events against
-//! `SearchStats`, the deprecated flat-trace shim, sink streaming, and the
+//! `SearchStats`, the baseline-first probe order, sink streaming, and the
 //! `elapsed`/`blame_time`/`search_time` accounting.
 
 use seminal_core::obs::{
@@ -30,28 +30,16 @@ const WORKED_EXAMPLES: [&str; 3] = [FIGURE2, FIGURE8, MULTI_ERROR];
 
 fn traced(src: &str, cfg: SearchConfig) -> seminal_core::SearchReport {
     let prog = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}"));
-    // threads(1): these tests pin the *sequential* reconciliation rules
-    // (e.g. zero cached probes without memoize_oracle), which the parallel
-    // engine's shared memo deliberately changes. The determinism suite
-    // covers the engine's own reconciliation at several thread counts.
-    let cfg = SearchConfig { collect_trace: true, threads: 1, ..cfg };
+    let cfg = SearchConfig { collect_trace: true, ..cfg };
     SearchSession::builder(TypeCheckOracle::new()).config(cfg).build().unwrap().search(&prog)
 }
 
-/// Counts `(uncached, cached)` oracle-probe events.
-fn probe_counts(records: &[TraceRecord]) -> (u64, u64) {
-    let mut uncached = 0;
-    let mut cached = 0;
-    for rec in records {
-        if let TraceRecord::Event { kind: EventKind::OracleProbe { cached: c, .. }, .. } = rec {
-            if *c {
-                cached += 1;
-            } else {
-                uncached += 1;
-            }
-        }
-    }
-    (uncached, cached)
+/// Counts oracle-probe events.
+fn probe_count(records: &[TraceRecord]) -> u64 {
+    records
+        .iter()
+        .filter(|r| matches!(r, TraceRecord::Event { kind: EventKind::OracleProbe { .. }, .. }))
+        .count() as u64
 }
 
 #[test]
@@ -88,59 +76,32 @@ fn every_probe_event_has_a_live_parent_span() {
 fn probe_events_reconcile_exactly_with_search_stats() {
     for src in WORKED_EXAMPLES {
         let report = traced(src, SearchConfig::default());
-        let (uncached, cached) = probe_counts(&report.records);
         assert_eq!(
-            uncached, report.stats.oracle_calls,
-            "uncached probe events == oracle_calls on {src:?}"
+            probe_count(&report.records),
+            report.stats.oracle_calls,
+            "probe events == oracle_calls on {src:?}"
         );
-        assert_eq!(cached, 0, "no cache without memoize_oracle");
         assert_eq!(report.metrics.counter("oracle_calls"), report.stats.oracle_calls);
     }
 }
 
 #[test]
-fn cached_probe_events_reconcile_with_memo_hits() {
-    let cfg = SearchConfig { memoize_oracle: true, ..SearchConfig::default() };
-    for src in WORKED_EXAMPLES {
-        let report = traced(src, cfg.clone());
-        let (uncached, cached) = probe_counts(&report.records);
-        assert_eq!(uncached, report.stats.oracle_calls, "uncached == oracle_calls on {src:?}");
-        assert_eq!(cached, report.stats.memo_hits, "cached == memo_hits on {src:?}");
-        assert_eq!(report.metrics.counter("memo_hits"), report.stats.memo_hits);
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn legacy_flat_trace_mirrors_the_structured_stream() {
-    use seminal_core::search::TraceEvent;
+fn the_baseline_check_is_the_first_and_only_baseline_probe() {
     for src in WORKED_EXAMPLES {
         let report = traced(src, SearchConfig::default());
-        assert_eq!(
-            report.trace,
-            TraceEvent::from_records(&report.records),
-            "shim is the projection of the records on {src:?}"
-        );
-        // The projection keeps one entry per non-baseline probe, in order.
-        let probes = report
+        let probes: Vec<&ProbeKind> = report
             .records
             .iter()
-            .filter(|r| {
-                matches!(
-                    r,
-                    TraceRecord::Event { kind: EventKind::OracleProbe { probe, .. }, .. }
-                        if !matches!(probe, ProbeKind::Baseline)
-                )
+            .filter_map(|r| match r {
+                TraceRecord::Event { kind: EventKind::OracleProbe { probe, .. }, .. } => {
+                    Some(probe)
+                }
+                _ => None,
             })
-            .count();
-        let prefix_events = report
-            .records
-            .iter()
-            .filter(|r| {
-                matches!(r, TraceRecord::Event { kind: EventKind::PrefixLocalized { .. }, .. })
-            })
-            .count();
-        assert_eq!(report.trace.len(), probes + prefix_events);
+            .collect();
+        assert!(matches!(probes.first(), Some(ProbeKind::Baseline)), "baseline first on {src:?}");
+        let baselines = probes.iter().filter(|p| matches!(p, ProbeKind::Baseline)).count();
+        assert_eq!(baselines, 1, "exactly one baseline probe on {src:?}");
     }
 }
 
@@ -157,8 +118,7 @@ fn attached_sinks_stream_even_with_capture_off() {
     let streamed = sink.drain();
     assert!(!streamed.is_empty(), "sink received the stream");
     check_invariants(&streamed).expect("streamed records are well-formed");
-    let (uncached, _) = probe_counts(&streamed);
-    assert_eq!(uncached, report.stats.oracle_calls);
+    assert_eq!(probe_count(&streamed), report.stats.oracle_calls);
 }
 
 #[test]

@@ -198,7 +198,6 @@ impl ProbeCtx<'_> {
                 target: probe.original.clone(),
                 span: SrcSpan::new(probe.span.start, probe.span.end),
                 outcome: accepted,
-                cached: false,
                 faulted: verdict.faulted,
                 latency_ns: verdict.latency_ns,
             });
@@ -532,7 +531,6 @@ fn search_cpp_impl(
             target: String::new(),
             span: SrcSpan::EMPTY,
             outcome: baseline.is_empty(),
-            cached: false,
             faulted: baseline_faulted,
             latency_ns: baseline_ns,
         });

@@ -7,7 +7,7 @@
 //! the baseline file is regenerated). Two tolerances apply:
 //!
 //! * **counter tolerance** for work counters (`oracle_calls`,
-//!   `memo_hits`, per-family probe counts, …) — these are deterministic
+//!   `probe_faults`, per-family probe counts, …) — these are deterministic
 //!   for a fixed corpus and seed, so CI can hold them tight;
 //! * **time tolerance** for anything measured in nanoseconds (`*_ns`
 //!   counters and latency-histogram percentiles) — wall-clock numbers
@@ -116,17 +116,16 @@ pub fn extract_snapshot(value: &Json) -> Result<MetricsSnapshot, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
 
     fn snapshot(calls: u64, elapsed_ns: u64, latencies: &[u64]) -> MetricsSnapshot {
-        let reg = MetricsRegistry::new();
-        reg.add("oracle_calls", calls);
-        reg.add("elapsed_ns", elapsed_ns);
-        reg.add("probe_faults", 0);
+        let mut snap = MetricsSnapshot::default();
+        snap.counters.insert("oracle_calls".to_owned(), calls);
+        snap.counters.insert("elapsed_ns".to_owned(), elapsed_ns);
+        snap.counters.insert("probe_faults".to_owned(), 0);
         for &v in latencies {
-            reg.observe("oracle.latency_ns", v);
+            snap.histograms.entry("oracle.latency_ns".to_owned()).or_default().observe(v);
         }
-        reg.snapshot()
+        snap
     }
 
     #[test]

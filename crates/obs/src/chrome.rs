@@ -4,15 +4,15 @@
 //! The mapping follows the Trace Event Format's JSON object form
 //! (`{"traceEvents": [...]}`):
 //!
-//! * every tracer thread becomes a track (`tid` = thread id, with a
-//!   `thread_name` metadata event: `search` for thread 0, `worker-N`
-//!   for engine workers), all under one process `seminal`;
+//! * every emitting thread becomes a track (`tid` = thread id, with a
+//!   `thread_name` metadata event: `search` for thread 0, the only
+//!   thread a search emits on), all under one process `seminal`;
 //! * span open/close pairs become `B`/`E` duration events;
-//! * oracle and speculative probes become `X` complete events whose
+//! * oracle probes become `X` complete events whose
 //!   duration is the probe's latency, placed so the probe *ends* at its
 //!   record timestamp;
-//! * memo hits, probe faults, and prefix localizations become `i`
-//!   instant events, which render as markers on the timeline.
+//! * probe faults and prefix localizations become `i` instant events,
+//!   which render as markers on the timeline.
 //!
 //! Timestamps are microseconds (the format's unit); the workspace JSON
 //! layer is integer-only, so sub-microsecond structure rounds down.
@@ -27,7 +27,7 @@ pub fn chrome_trace(records: &[TraceRecord]) -> Json {
     let threads: BTreeSet<u32> = records.iter().map(TraceRecord::thread).collect();
     events.push(metadata_event("process_name", 0, Json::Str("seminal".to_owned())));
     for &thread in &threads {
-        let name = if thread == 0 { "search".to_owned() } else { format!("worker-{}", thread - 1) };
+        let name = if thread == 0 { "search".to_owned() } else { format!("thread-{thread}") };
         events.push(metadata_event("thread_name", thread, Json::Str(name)));
     }
     for rec in records {
@@ -48,40 +48,9 @@ pub fn chrome_trace(records: &[TraceRecord]) -> Json {
                 events.push(trace_event("E", "span", "span", *thread, *at_ns / 1000, None));
             }
             TraceRecord::Event { kind, thread, at_ns, .. } => match kind {
-                EventKind::OracleProbe { probe, cached, faulted, latency_ns, outcome, .. } => {
-                    if *cached {
-                        events.push(trace_event(
-                            "i",
-                            "memo-hit",
-                            "memo",
-                            *thread,
-                            *at_ns / 1000,
-                            None,
-                        ));
-                    } else {
-                        events.push(probe_event(
-                            probe.metric_key(),
-                            "probe",
-                            *thread,
-                            *at_ns,
-                            *latency_ns,
-                            *outcome,
-                        ));
-                    }
-                    if *faulted {
-                        events.push(trace_event(
-                            "i",
-                            "fault",
-                            "fault",
-                            *thread,
-                            *at_ns / 1000,
-                            None,
-                        ));
-                    }
-                }
-                EventKind::SpeculativeProbe { outcome, faulted, latency_ns } => {
+                EventKind::OracleProbe { probe, faulted, latency_ns, outcome, .. } => {
                     events.push(probe_event(
-                        "speculative",
+                        probe.metric_key(),
                         "probe",
                         *thread,
                         *at_ns,
@@ -119,7 +88,6 @@ fn span_name(kind: &SpanKind) -> String {
     match kind {
         SpanKind::Descend { span } => format!("descend [{},{})", span.start, span.end),
         SpanKind::Triage { round } => format!("triage round {round}"),
-        SpanKind::Worker { index } => format!("worker {index} batch"),
         SpanKind::Request { id } => format!("request {id}"),
         other => other.tag().to_owned(),
     }
@@ -178,59 +146,40 @@ mod tests {
     use super::*;
     use crate::trace::{EventKind, ProbeKind, SpanKind, SrcSpan, TraceRecord};
 
+    fn probe(outcome: bool, faulted: bool, latency_ns: u64) -> EventKind {
+        EventKind::OracleProbe {
+            probe: ProbeKind::Removal,
+            target: "x".to_owned(),
+            span: SrcSpan::new(0, 1),
+            outcome,
+            faulted,
+            latency_ns,
+        }
+    }
+
     fn sample_records() -> Vec<TraceRecord> {
         vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
             TraceRecord::Open {
                 id: 2,
                 parent: Some(1),
-                kind: SpanKind::Worker { index: 0 },
-                thread: 1,
+                kind: SpanKind::Descend { span: SrcSpan::new(0, 1) },
+                thread: 0,
                 at_ns: 2_000,
-            },
-            TraceRecord::Open {
-                id: 3,
-                parent: Some(1),
-                kind: SpanKind::Worker { index: 1 },
-                thread: 2,
-                at_ns: 2_500,
             },
             TraceRecord::Event {
                 parent: 2,
-                kind: EventKind::SpeculativeProbe {
-                    outcome: true,
-                    faulted: false,
-                    latency_ns: 4_000,
-                },
-                thread: 1,
+                kind: probe(true, false, 4_000),
+                thread: 0,
                 at_ns: 8_000,
             },
             TraceRecord::Event {
-                parent: 3,
-                kind: EventKind::SpeculativeProbe {
-                    outcome: false,
-                    faulted: true,
-                    latency_ns: 3_000,
-                },
-                thread: 2,
+                parent: 2,
+                kind: probe(false, true, 3_000),
+                thread: 0,
                 at_ns: 9_000,
             },
-            TraceRecord::Close { id: 2, thread: 1, at_ns: 10_000 },
-            TraceRecord::Close { id: 3, thread: 2, at_ns: 10_500 },
-            TraceRecord::Event {
-                parent: 1,
-                kind: EventKind::OracleProbe {
-                    probe: ProbeKind::Removal,
-                    target: "x".to_owned(),
-                    span: SrcSpan::new(0, 1),
-                    outcome: true,
-                    cached: true,
-                    faulted: false,
-                    latency_ns: 0,
-                },
-                thread: 0,
-                at_ns: 11_000,
-            },
+            TraceRecord::Close { id: 2, thread: 0, at_ns: 10_000 },
             TraceRecord::Close { id: 1, thread: 0, at_ns: 12_000 },
         ]
     }
@@ -243,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn export_parses_and_names_every_track() {
+    fn export_parses_and_names_the_search_track() {
         let json = chrome_trace(&sample_records());
         // The export must survive our own strict parser (and therefore
         // any JSON parser).
@@ -254,10 +203,7 @@ mod tests {
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
             .filter_map(|e| e.get("args")?.get("name")?.as_str())
             .collect();
-        assert!(names.contains(&"seminal"));
-        assert!(names.contains(&"search"));
-        assert!(names.contains(&"worker-0"));
-        assert!(names.contains(&"worker-1"));
+        assert_eq!(names, ["seminal", "search"], "one process, one track");
     }
 
     #[test]
@@ -267,18 +213,19 @@ mod tests {
         let count_ph = |ph: &str| {
             evs.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph)).count()
         };
-        assert_eq!(count_ph("B"), 3, "search span plus two worker batch spans");
-        assert_eq!(count_ph("E"), 3);
-        assert_eq!(count_ph("X"), 2, "two uncached probes");
-        assert_eq!(count_ph("i"), 2, "one memo hit, one fault marker");
+        assert_eq!(count_ph("B"), 2, "search span plus one descend span");
+        assert_eq!(count_ph("E"), 2);
+        assert_eq!(count_ph("X"), 2, "two probes");
+        assert_eq!(count_ph("i"), 1, "one fault marker");
         // Probe X events are back-dated by their latency.
         let x: Vec<&Json> =
             evs.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
         assert_eq!(x[0].get("ts").and_then(Json::as_num), Some(4), "8000−4000 ns → 4 µs");
         assert_eq!(x[0].get("dur").and_then(Json::as_num), Some(4));
-        // Distinct worker tracks survive into tids.
-        let tids: std::collections::BTreeSet<u64> =
-            x.iter().filter_map(|e| e.get("tid").and_then(Json::as_num)).collect();
-        assert_eq!(tids.len(), 2);
+        // Every event sits on the search track.
+        assert!(evs
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) != Some("M"))
+            .all(|e| e.get("tid").and_then(Json::as_num) == Some(0)));
     }
 }

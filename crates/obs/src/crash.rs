@@ -35,7 +35,8 @@ pub struct CrashReport {
     pub completion: String,
     /// Probes that panicked and were isolated to faults.
     pub probe_faults: u64,
-    /// Probe threads the search ran with.
+    /// Probe threads the search ran with. Searches probe sequentially,
+    /// so this is always 1; the member stays for `crash-v1` readers.
     pub threads: u64,
     /// Trace records older than the flight-recorder tail that were
     /// overwritten before the dump.
@@ -183,35 +184,25 @@ impl CrashReport {
     /// reports, distinct for different ones.
     pub fn file_name(&self) -> String {
         let body = self.to_json().to_string_compact();
-        format!("seminal-crash-{:016x}.json", fnv1a(body.as_bytes()))
+        format!("seminal-crash-{:016x}.json", crate::fnv1a(body.as_bytes()))
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
-    use crate::trace::{EventKind, SpanKind, TraceRecord};
+    use crate::trace::{EventKind, ProbeKind, SpanKind, SrcSpan, TraceRecord};
 
     fn report() -> CrashReport {
-        let reg = MetricsRegistry::new();
-        reg.add("oracle_calls", 17);
-        reg.add("probe_faults", 2);
-        reg.observe("oracle.latency_ns", 1234);
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counters.insert("oracle_calls".to_owned(), 17);
+        metrics.counters.insert("probe_faults".to_owned(), 2);
+        metrics.histograms.entry("oracle.latency_ns".to_owned()).or_default().observe(1234);
         CrashReport {
             reason: "2 probe faults".to_owned(),
             completion: "degraded".to_owned(),
             probe_faults: 2,
-            threads: 4,
+            threads: 1,
             records_dropped: 5,
             records: vec![
                 TraceRecord::Open {
@@ -223,17 +214,20 @@ mod tests {
                 },
                 TraceRecord::Event {
                     parent: 1,
-                    kind: EventKind::SpeculativeProbe {
+                    kind: EventKind::OracleProbe {
+                        probe: ProbeKind::Removal,
+                        target: "x + y".to_owned(),
+                        span: SrcSpan::new(4, 9),
                         outcome: false,
                         faulted: true,
                         latency_ns: 99,
                     },
-                    thread: 2,
+                    thread: 0,
                     at_ns: 10,
                 },
                 TraceRecord::Close { id: 1, thread: 0, at_ns: 20 },
             ],
-            metrics: reg.snapshot(),
+            metrics,
         }
     }
 

@@ -9,15 +9,15 @@
 //!   records with parent/child nesting and monotonic timestamps, behind
 //!   a pluggable [`TraceSink`] (in-memory ring buffer, JSONL writer,
 //!   null);
-//! * [`metrics`] — a registry of counters and power-of-two latency
-//!   histograms with a stable, schema-versioned JSON snapshot
+//! * [`metrics`] — counters and power-of-two latency histograms with a
+//!   stable, schema-versioned JSON snapshot
 //!   ([`metrics::SCHEMA`]) whose decoder rejects unknown fields;
 //! * [`flight`] — the always-on flight recorder: a lock-cheap
 //!   fixed-capacity ring of the most recent trace records;
 //! * [`crash`] — versioned crash reports bundling the flight-recorder
 //!   tail with the final metrics snapshot for post-mortem replay;
 //! * [`chrome`] — renders a captured trace as a Chrome `trace_event`
-//!   document (one track per worker) for `chrome://tracing`/Perfetto;
+//!   document (one track per emitting thread) for `chrome://tracing`/Perfetto;
 //! * [`baseline`] — the perf-trend gate comparing a snapshot against a
 //!   committed baseline under counter/time tolerances;
 //! * [`profile`] — attributes cumulative oracle cost to source spans and
@@ -49,9 +49,33 @@ pub use completion::Completion;
 pub use crash::CrashReport;
 pub use flight::FlightRecorder;
 pub use json::{parse as parse_json, Json, JsonError};
-pub use metrics::{keys, Histogram, MetricsRegistry, MetricsSnapshot, SCHEMA};
+pub use metrics::{keys, Histogram, MetricsSnapshot, SCHEMA};
 pub use profile::{profile, render as render_profile, ProfileNode, SpanProfile};
 pub use trace::{
-    check_invariants, EventKind, JsonlSink, MemorySink, NullSink, ProbeKind, SpanContext, SpanKind,
-    SrcSpan, TraceError, TraceHandle, TraceRecord, TraceSink, Tracer,
+    check_invariants, EventKind, JsonlSink, MemorySink, NullSink, ProbeKind, SpanKind, SrcSpan,
+    TraceError, TraceRecord, TraceSink, Tracer,
 };
+
+/// FNV-1a (64-bit) over raw bytes: the one content hash of the
+/// workspace — program fingerprints, memo shard selection, text-keyed
+/// chaos injection, and crash-report file names all use it, so they
+/// agree byte-for-byte and stay stable across processes (no
+/// `RandomState`).
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+}

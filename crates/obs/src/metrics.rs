@@ -1,15 +1,13 @@
 //! Counters and latency histograms with a stable JSON snapshot schema.
 //!
-//! [`MetricsRegistry`] is a string-keyed registry of monotonic counters
-//! and power-of-two-bucket histograms, cheap enough to stay on for every
-//! search. [`MetricsSnapshot`] is its frozen, serializable form; the JSON
+//! [`MetricsSnapshot`] holds string-keyed counters and power-of-two-bucket
+//! [`Histogram`]s, cheap enough to fill for every search. Its JSON
 //! encoding is versioned by the [`SCHEMA`] tag and decoding rejects
 //! unknown fields everywhere, so artifacts round-trip exactly or fail
 //! loudly (the CI contract).
 
 use crate::json::{parse, Json, JsonError};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// The schema tag every snapshot carries; bump the suffix on any change
 /// to the snapshot layout.
@@ -21,7 +19,7 @@ pub const SCHEMA: &str = "seminal-obs/metrics-v1";
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Well-known metric keys shared between producers (the search) and
-/// consumers (the eval runner, CI assertions). The registry itself is
+/// consumers (the eval runner, CI assertions). Snapshots are
 /// stringly-keyed; these constants exist so the localization-backend
 /// keys added in PR 6 cannot drift between crates.
 pub mod keys {
@@ -93,8 +91,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Records one observation (public so hot paths can bump a local
-    /// histogram without going through a registry's lock).
+    /// Records one observation.
     pub fn observe(&mut self, value: u64) {
         if self.count == 0 {
             self.min = value;
@@ -151,74 +148,7 @@ impl Histogram {
     }
 }
 
-/// Live registry: counters and histograms keyed by stable names.
-/// Interior-mutable (`&self` updates) so one registry can be shared by a
-/// search run, an instrumented oracle, and an eval harness.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<RegistryState>,
-}
-
-#[derive(Debug, Default)]
-struct RegistryState {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `by` to the counter `name` (creating it at zero).
-    pub fn add(&self, name: &str, by: u64) {
-        let mut state = self.inner.lock().expect("metrics registry poisoned");
-        *state.counters.entry(name.to_owned()).or_insert(0) += by;
-    }
-
-    /// Increments the counter `name` by one.
-    pub fn inc(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Sets the counter `name` to `value` outright — gauge semantics,
-    /// for values that describe the run rather than accumulate over it
-    /// (e.g. the `probe_parallelism` gauge the parallel probe engine
-    /// publishes). Last writer wins.
-    pub fn set(&self, name: &str, value: u64) {
-        let mut state = self.inner.lock().expect("metrics registry poisoned");
-        state.counters.insert(name.to_owned(), value);
-    }
-
-    /// Raises the counter `name` to `value` if it is currently lower
-    /// (for high-water marks such as maximum descent depth).
-    pub fn set_max(&self, name: &str, value: u64) {
-        let mut state = self.inner.lock().expect("metrics registry poisoned");
-        let slot = state.counters.entry(name.to_owned()).or_insert(0);
-        *slot = (*slot).max(value);
-    }
-
-    /// Records one observation into the histogram `name`.
-    pub fn observe(&self, name: &str, value: u64) {
-        let mut state = self.inner.lock().expect("metrics registry poisoned");
-        state.histograms.entry(name.to_owned()).or_default().observe(value);
-    }
-
-    /// Current value of a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        let state = self.inner.lock().expect("metrics registry poisoned");
-        state.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Freezes the registry into a snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let state = self.inner.lock().expect("metrics registry poisoned");
-        MetricsSnapshot { counters: state.counters.clone(), histograms: state.histograms.clone() }
-    }
-}
-
-/// A frozen, serializable view of a [`MetricsRegistry`].
+/// Counters and histograms by name, serializable as `metrics-v1`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -425,23 +355,25 @@ fn histogram_from_json(name: &str, value: &Json) -> Result<Histogram, JsonError>
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_and_histograms_accumulate() {
-        let reg = MetricsRegistry::new();
-        reg.inc("oracle_calls");
-        reg.add("oracle_calls", 2);
-        reg.set_max("descend.max_depth", 4);
-        reg.set_max("descend.max_depth", 2);
-        reg.set("probe_parallelism", 8);
-        reg.set("probe_parallelism", 4);
-        for v in [1u64, 2, 3, 1000] {
-            reg.observe("oracle.latency_ns", v);
+    /// A snapshot with the given counters and one observation per value
+    /// in histogram `h`.
+    fn snapshot(counters: &[(&str, u64)], h: &[u64]) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        for &(name, value) in counters {
+            snap.counters.insert(name.to_owned(), value);
         }
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("oracle_calls"), 3);
-        assert_eq!(snap.counter("descend.max_depth"), 4);
-        assert_eq!(snap.counter("probe_parallelism"), 4, "gauge takes the last write");
-        let h = &snap.histograms["oracle.latency_ns"];
+        for &v in h {
+            snap.histograms.entry("h".to_owned()).or_default().observe(v);
+        }
+        snap
+    }
+
+    #[test]
+    fn histograms_accumulate_into_power_of_two_buckets() {
+        let mut h = Histogram::default();
+        for v in [1u64, 2, 3, 1000] {
+            h.observe(v);
+        }
         assert_eq!(h.count, 4);
         assert_eq!(h.sum, 1006);
         assert_eq!(h.min, 1);
@@ -475,11 +407,9 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_json() {
-        let reg = MetricsRegistry::new();
-        reg.add("a", 7);
-        reg.observe("h", 42);
-        reg.observe("h", 1);
-        let snap = reg.snapshot();
+        let snap = snapshot(&[("a", 7)], &[42, 1]);
+        assert_eq!(snap.counter("a"), 7);
+        assert_eq!(snap.counter("absent"), 0);
         let text = snap.to_json_string();
         let back = MetricsSnapshot::from_json_str(&text).unwrap();
         assert_eq!(back, snap);
@@ -488,10 +418,7 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_rejected_at_every_level() {
-        let reg = MetricsRegistry::new();
-        reg.add("a", 1);
-        reg.observe("h", 5);
-        let good = reg.snapshot().to_json_string();
+        let good = snapshot(&[("a", 1)], &[5]).to_json_string();
         // Top level.
         let bad = good.replace("\"counters\"", "\"extra\": 1,\n  \"counters\"");
         assert!(MetricsSnapshot::from_json_str(&bad).is_err());
@@ -508,15 +435,8 @@ mod tests {
 
     #[test]
     fn merge_combines_counters_and_buckets() {
-        let a = MetricsRegistry::new();
-        a.add("c", 1);
-        a.observe("h", 2);
-        let b = MetricsRegistry::new();
-        b.add("c", 2);
-        b.add("only_b", 5);
-        b.observe("h", 1000);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
+        let mut merged = snapshot(&[("c", 1)], &[2]);
+        merged.merge(&snapshot(&[("c", 2), ("only_b", 5)], &[1000]));
         assert_eq!(merged.counter("c"), 3);
         assert_eq!(merged.counter("only_b"), 5);
         let h = &merged.histograms["h"];

@@ -216,7 +216,6 @@ mod tests {
                 target: "t".to_owned(),
                 span,
                 outcome: false,
-                cached: false,
                 faulted: false,
                 latency_ns,
             },

@@ -2,7 +2,7 @@
 //!
 //! A search emits a stream of [`TraceRecord`]s: span open/close pairs
 //! (nesting regions of the search — descent into a node, a triage round,
-//! the blame pass, a probe-engine worker) and point events inside them
+//! the blame pass) and point events inside them
 //! (each oracle probe, with outcome and latency). Records carry
 //! monotonic nanosecond timestamps relative to the start of the trace,
 //! the id of the thread that emitted them, and flow into a pluggable
@@ -13,19 +13,13 @@
 //! * [`JsonlSink`] — one JSON document per record, for offline analysis;
 //! * [`NullSink`] — swallows everything (useful as an explicit default).
 //!
-//! # Causal trace model
+//! # Trace model
 //!
-//! The trace is a forest of spans distributed over threads. Each thread
-//! owns a LIFO stack of spans it opened; a span's parent is either the
-//! innermost span open *on the same thread* ([`Tracer::open`]) or an
-//! explicit [`SpanContext`] handle captured on another thread
-//! ([`Tracer::open_under`]) — that is how a probe-engine worker's span
-//! hangs under the search span that caused the batch. Cross-thread
-//! parents must be live (opened, not yet closed) when the child opens;
-//! the consumer guarantees this by joining workers before closing the
-//! span it handed out. [`TraceHandle`] carries the shared sink fan-out,
-//! id allocator, and epoch to other threads, where
-//! [`TraceHandle::thread_tracer`] mints a per-thread [`Tracer`].
+//! The trace is a tree of spans. A [`Tracer`] owns a LIFO stack of the
+//! spans it opened, and a new span's parent is the innermost open one.
+//! A search probes sequentially, so its tracer emits every record as
+//! thread 0; the `thread` member of each record is kept so streams
+//! merged from several tracers stay decodable and checkable.
 //!
 //! [`check_invariants`] is the executable specification of the stream:
 //! unique span ids, balanced open/close per thread, every event under a
@@ -34,7 +28,6 @@
 use crate::json::Json;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -89,12 +82,6 @@ pub enum SpanKind {
         /// 1-based round number within this search.
         round: u32,
     },
-    /// A probe-engine worker running speculative probes for one batch.
-    /// Always opened under an explicit cross-thread [`SpanContext`].
-    Worker {
-        /// 0-based worker index within the engine.
-        index: u32,
-    },
     /// The whole lifetime of a `seminal serve` process (or one served
     /// connection) — the root every [`SpanKind::Request`] opens under.
     Server,
@@ -114,16 +101,14 @@ impl SpanKind {
             SpanKind::PrefixLocalization => "prefix-localization",
             SpanKind::Descend { .. } => "descend",
             SpanKind::Triage { .. } => "triage",
-            SpanKind::Worker { .. } => "worker",
             SpanKind::Server => "server",
             SpanKind::Request { .. } => "request",
         }
     }
 }
 
-/// What an oracle probe was trying, typed (the stringly `action` of the
-/// legacy `TraceEvent` API is derived from this via
-/// [`ProbeKind::legacy_action`]).
+/// What an oracle probe was trying, typed (the short action string the
+/// CLI's `--trace` tree prints is [`ProbeKind::legacy_action`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProbeKind {
     /// The initial whole-program check that decides ill-typedness.
@@ -190,8 +175,8 @@ impl ProbeKind {
             ProbeKind::Other => 10,
         }
     }
-    /// The action string of the legacy flat trace, preserved verbatim for
-    /// the deprecated `TraceEvent` compatibility shim.
+    /// The action string of the original flat trace format, still printed
+    /// verbatim by the CLI's `--trace` tree.
     pub fn legacy_action(&self) -> String {
         match self {
             ProbeKind::Baseline => "baseline".to_owned(),
@@ -251,8 +236,8 @@ impl ProbeKind {
 /// A point event inside a span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
-    /// One oracle invocation (or memo-cache hit, when `cached`),
-    /// attributed to the search step that consumed the verdict.
+    /// One oracle invocation, attributed to the search step that issued
+    /// it.
     OracleProbe {
         /// What the probe was trying.
         probe: ProbeKind,
@@ -264,27 +249,10 @@ pub enum EventKind {
         span: SrcSpan,
         /// Whether the variant type-checked.
         outcome: bool,
-        /// Whether the verdict came from the memo cache instead of a real
-        /// oracle run.
-        cached: bool,
         /// Whether the probe panicked and the verdict was synthesized as
         /// a fault (panic isolation; implies `outcome == false`).
         faulted: bool,
-        /// Wall-clock cost of the oracle call (0 when `cached`).
-        latency_ns: u64,
-    },
-    /// A speculative probe run by a probe-engine worker ahead of the
-    /// search's own consumption. Deliberately lightweight — the causal
-    /// attribution (family, target, span) is carried by the
-    /// [`EventKind::OracleProbe`] event the consumer emits when (if) it
-    /// consumes the memoized verdict; this event records *where and when
-    /// the work physically ran*.
-    SpeculativeProbe {
-        /// Whether the variant type-checked.
-        outcome: bool,
-        /// Whether the probe panicked and was isolated to a fault.
-        faulted: bool,
-        /// Wall-clock cost attributed to this probe.
+        /// Wall-clock cost of the oracle call.
         latency_ns: u64,
     },
     /// The first bad declaration was read off the blame analysis instead
@@ -298,8 +266,7 @@ pub enum EventKind {
 }
 
 /// One record of the structured trace stream. Every record carries the
-/// id of the [`Tracer`] thread that emitted it (0 is the search thread;
-/// engine workers are 1-based).
+/// id of the thread that emitted it (a [`Tracer`] always emits as 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
     /// A span opened. `parent` is `None` only for the root span.
@@ -346,9 +313,6 @@ impl TraceRecord {
                     SpanKind::Triage { round } => {
                         members.push(("round".to_owned(), Json::Num(u64::from(*round))));
                     }
-                    SpanKind::Worker { index } => {
-                        members.push(("index".to_owned(), Json::Num(u64::from(*index))));
-                    }
                     SpanKind::Request { id } => {
                         members.push(("request_id".to_owned(), Json::Num(*id)));
                     }
@@ -369,7 +333,6 @@ impl TraceRecord {
                         target,
                         span,
                         outcome,
-                        cached,
                         faulted,
                         latency_ns,
                     } => {
@@ -384,16 +347,6 @@ impl TraceRecord {
                         }
                         members.push(("target".to_owned(), Json::Str(target.clone())));
                         members.push(("span".to_owned(), span_json(*span)));
-                        members.push(("outcome".to_owned(), Json::Bool(*outcome)));
-                        members.push(("cached".to_owned(), Json::Bool(*cached)));
-                        if *faulted {
-                            members.push(("faulted".to_owned(), Json::Bool(true)));
-                        }
-                        members.push(("latency_ns".to_owned(), Json::Num(*latency_ns)));
-                    }
-                    EventKind::SpeculativeProbe { outcome, faulted, latency_ns } => {
-                        members
-                            .push(("kind".to_owned(), Json::Str("speculative-probe".to_owned())));
                         members.push(("outcome".to_owned(), Json::Bool(*outcome)));
                         if *faulted {
                             members.push(("faulted".to_owned(), Json::Bool(true)));
@@ -455,9 +408,6 @@ impl TraceRecord {
                     "triage" => SpanKind::Triage {
                         round: num_u32(json, "round").ok_or("triage span missing \"round\"")?,
                     },
-                    "worker" => SpanKind::Worker {
-                        index: num_u32(json, "index").ok_or("worker span missing \"index\"")?,
-                    },
                     "server" => SpanKind::Server,
                     "request" => SpanKind::Request {
                         id: json
@@ -496,8 +446,6 @@ impl TraceRecord {
                             )?,
                             outcome: bool_member(json, "outcome")?
                                 .ok_or("probe event missing \"outcome\"")?,
-                            cached: bool_member(json, "cached")?
-                                .ok_or("probe event missing \"cached\"")?,
                             faulted: bool_member(json, "faulted")?.unwrap_or(false),
                             latency_ns: json
                                 .get("latency_ns")
@@ -505,15 +453,6 @@ impl TraceRecord {
                                 .ok_or("probe event missing \"latency_ns\"")?,
                         }
                     }
-                    "speculative-probe" => EventKind::SpeculativeProbe {
-                        outcome: bool_member(json, "outcome")?
-                            .ok_or("speculative probe missing \"outcome\"")?,
-                        faulted: bool_member(json, "faulted")?.unwrap_or(false),
-                        latency_ns: json
-                            .get("latency_ns")
-                            .and_then(Json::as_num)
-                            .ok_or("speculative probe missing \"latency_ns\"")?,
-                    },
                     "prefix-localized" => EventKind::PrefixLocalized {
                         first_bad: num_u32(json, "first_bad")
                             .ok_or("prefix event missing \"first_bad\"")?,
@@ -567,10 +506,10 @@ fn bool_member(json: &Json, key: &str) -> Result<Option<bool>, String> {
     }
 }
 
-/// Where trace records go. Sinks are called concurrently from the search
-/// thread and every probe-engine worker, so implementations must be
-/// internally synchronized; `Send + Sync` also lets one sink be shared
-/// across searches (e.g. an eval run streaming every search to one file).
+/// Where trace records go. Implementations must be internally
+/// synchronized: `Send + Sync` lets one sink be shared across searches
+/// running on different threads (e.g. an eval run streaming every
+/// search to one file, or concurrent requests in the serve daemon).
 pub trait TraceSink: Send + Sync {
     /// Consumes one record.
     fn record(&self, rec: &TraceRecord);
@@ -665,9 +604,8 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 /// A typed tracing failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceError {
-    /// An event was emitted with no span open on the emitting thread and
-    /// no explicit parent context. The record is dropped rather than
-    /// fabricated under a bogus span id.
+    /// An event was emitted with no span open. The record is dropped
+    /// rather than fabricated under a bogus span id.
     NoOpenSpan,
 }
 
@@ -675,7 +613,7 @@ impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceError::NoOpenSpan => {
-                write!(f, "trace event emitted with no open span on this thread")
+                write!(f, "trace event emitted with no open span")
             }
         }
     }
@@ -683,39 +621,22 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// A handle to a live span, safe to send to another thread and open
-/// child spans under ([`Tracer::open_under`]). The referenced span must
-/// stay open until every child opened under it has been recorded — the
-/// probe engine guarantees this by joining its workers before returning
-/// control to the span's owner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanContext {
-    id: u64,
-}
-
-impl SpanContext {
-    /// The span id the context refers to.
-    pub fn id(self) -> u64 {
-        self.id
-    }
-}
-
-/// State shared by every [`Tracer`] of one trace: the sink fan-out, the
-/// process-wide span-id allocator, and the common epoch that makes
-/// timestamps comparable across threads.
-struct TraceShared {
+/// The live part of an enabled [`Tracer`]: the sink fan-out, the span-id
+/// allocator, and the epoch timestamps are measured from.
+struct TraceState {
     sinks: Vec<Arc<dyn TraceSink>>,
-    next_id: AtomicU64,
+    next_id: u64,
     epoch: Instant,
+    last_ns: u64,
 }
 
-impl TraceShared {
-    fn now_ns(&self, last_ns: &mut u64) -> u64 {
-        // Clamp to nondecreasing per thread so the stream invariant
-        // holds even if the platform clock misbehaves.
+impl TraceState {
+    fn now_ns(&mut self) -> u64 {
+        // Clamp to nondecreasing so the stream invariant holds even if
+        // the platform clock misbehaves.
         let ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        *last_ns = (*last_ns).max(ns);
-        *last_ns
+        self.last_ns = self.last_ns.max(ns);
+        self.last_ns
     }
 
     fn emit(&self, rec: &TraceRecord) {
@@ -725,152 +646,87 @@ impl TraceShared {
     }
 }
 
-impl std::fmt::Debug for TraceShared {
+impl std::fmt::Debug for TraceState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceShared").field("sinks", &self.sinks.len()).finish()
+        f.debug_struct("TraceState").field("sinks", &self.sinks.len()).finish()
     }
 }
 
-/// A cheap, cloneable, `Send` handle to a trace, from which worker
-/// threads mint their own per-thread [`Tracer`]s
-/// ([`TraceHandle::thread_tracer`]). A handle from a disabled tracer
-/// mints disabled tracers.
-#[derive(Debug, Clone, Default)]
-pub struct TraceHandle {
-    shared: Option<Arc<TraceShared>>,
-}
-
-impl TraceHandle {
-    /// A handle that mints only disabled tracers.
-    pub fn disabled() -> TraceHandle {
-        TraceHandle { shared: None }
-    }
-
-    /// Whether tracers minted from this handle record anything.
-    pub fn enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
-    /// A tracer emitting under thread id `thread`. Thread 0 is reserved
-    /// for the search (consumer) thread; engine workers use their
-    /// 1-based worker ids.
-    pub fn thread_tracer(&self, thread: u32) -> Tracer {
-        Tracer { shared: self.shared.clone(), thread, stack: Vec::new(), last_ns: 0 }
-    }
-}
-
-/// Emits the structured stream: manages span ids, this thread's
-/// open-span stack, and monotonic timestamps, and fans records out to
-/// the attached sinks. One `Tracer` belongs to one thread; cross-thread
-/// causality flows through [`SpanContext`] handles and [`TraceHandle`].
+/// Emits the structured stream: manages span ids, the open-span stack,
+/// and monotonic timestamps, and fans records out to the attached sinks.
+/// Every record is emitted as thread 0.
 ///
 /// A disabled tracer ([`Tracer::disabled`]) does no clock reads, no
 /// allocation, and no sink calls — the zero-overhead configuration the
 /// searcher uses by default.
 #[derive(Debug)]
 pub struct Tracer {
-    shared: Option<Arc<TraceShared>>,
-    thread: u32,
+    state: Option<TraceState>,
     stack: Vec<u64>,
-    last_ns: u64,
 }
 
 impl Tracer {
     /// A tracer that records nothing.
     pub fn disabled() -> Tracer {
-        Tracer { shared: None, thread: 0, stack: Vec::new(), last_ns: 0 }
+        Tracer { state: None, stack: Vec::new() }
     }
 
     /// A tracer fanning out to `sinks` (disabled when the list is
-    /// empty), emitting as thread 0.
+    /// empty).
     pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Tracer {
         if sinks.is_empty() {
             return Tracer::disabled();
         }
         Tracer {
-            shared: Some(Arc::new(TraceShared {
-                sinks,
-                next_id: AtomicU64::new(1),
-                epoch: Instant::now(),
-            })),
-            thread: 0,
+            state: Some(TraceState { sinks, next_id: 1, epoch: Instant::now(), last_ns: 0 }),
             stack: Vec::new(),
-            last_ns: 0,
         }
     }
 
     /// Whether records are being emitted.
     pub fn enabled(&self) -> bool {
-        self.shared.is_some()
+        self.state.is_some()
     }
 
-    /// The thread id this tracer emits under.
-    pub fn thread(&self) -> u32 {
-        self.thread
-    }
-
-    /// A sendable handle for minting tracers on other threads.
-    pub fn handle(&self) -> TraceHandle {
-        TraceHandle { shared: self.shared.clone() }
-    }
-
-    /// A context for the innermost span open on this thread (`None`
-    /// when disabled or when no span is open).
-    pub fn context(&self) -> Option<SpanContext> {
-        self.shared.as_ref()?;
-        self.stack.last().map(|&id| SpanContext { id })
-    }
-
-    /// Opens a span under the innermost one open on this thread;
-    /// returns its id (0 when disabled — a valid argument to
-    /// [`Tracer::close`], which ignores it).
+    /// Opens a span under the innermost open one; returns its id (0 when
+    /// disabled — a valid argument to [`Tracer::close`], which ignores
+    /// it).
     pub fn open(&mut self, kind: SpanKind) -> u64 {
+        let Some(state) = &mut self.state else { return 0 };
         let parent = self.stack.last().copied();
-        self.open_with_parent(parent, kind)
-    }
-
-    /// Opens a span under an explicit — possibly cross-thread — parent
-    /// context. The parent must still be open when this records.
-    pub fn open_under(&mut self, parent: SpanContext, kind: SpanKind) -> u64 {
-        self.open_with_parent(Some(parent.id), kind)
-    }
-
-    fn open_with_parent(&mut self, parent: Option<u64>, kind: SpanKind) -> u64 {
-        let Some(shared) = &self.shared else { return 0 };
-        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let at_ns = shared.now_ns(&mut self.last_ns);
+        let id = state.next_id;
+        state.next_id += 1;
+        let at_ns = state.now_ns();
         self.stack.push(id);
-        shared.emit(&TraceRecord::Open { id, parent, kind, thread: self.thread, at_ns });
+        state.emit(&TraceRecord::Open { id, parent, kind, thread: 0, at_ns });
         id
     }
 
-    /// Closes the span `id`, which must be the innermost one open on
-    /// this thread (spans close in LIFO order per thread by construction
-    /// of the searcher).
+    /// Closes the span `id`, which must be the innermost open one (spans
+    /// close in LIFO order by construction of the searcher).
     pub fn close(&mut self, id: u64) {
-        let Some(shared) = &self.shared else { return };
+        let Some(state) = &mut self.state else { return };
         debug_assert_eq!(self.stack.last(), Some(&id), "spans must close LIFO");
         self.stack.pop();
-        let at_ns = shared.now_ns(&mut self.last_ns);
-        shared.emit(&TraceRecord::Close { id, thread: self.thread, at_ns });
+        let at_ns = state.now_ns();
+        state.emit(&TraceRecord::Close { id, thread: 0, at_ns });
     }
 
-    /// Emits a point event inside the innermost span open on this
-    /// thread.
+    /// Emits a point event inside the innermost open span.
     ///
     /// # Errors
     ///
-    /// [`TraceError::NoOpenSpan`] when no span is open on this thread —
-    /// the event is dropped rather than attached to a fabricated span
-    /// id. (A disabled tracer returns `Ok` and records nothing.)
+    /// [`TraceError::NoOpenSpan`] when no span is open — the event is
+    /// dropped rather than attached to a fabricated span id. (A disabled
+    /// tracer returns `Ok` and records nothing.)
     pub fn event(&mut self, kind: EventKind) -> Result<(), TraceError> {
-        let Some(shared) = &self.shared else { return Ok(()) };
+        let Some(state) = &mut self.state else { return Ok(()) };
         debug_assert!(!self.stack.is_empty(), "events need a live parent span");
         let Some(parent) = self.stack.last().copied() else {
             return Err(TraceError::NoOpenSpan);
         };
-        let at_ns = shared.now_ns(&mut self.last_ns);
-        shared.emit(&TraceRecord::Event { parent, kind, thread: self.thread, at_ns });
+        let at_ns = state.now_ns();
+        state.emit(&TraceRecord::Event { parent, kind, thread: 0, at_ns });
         Ok(())
     }
 }
@@ -977,7 +833,6 @@ mod tests {
             target: "x + y".to_owned(),
             span: SrcSpan::new(4, 9),
             outcome,
-            cached: false,
             faulted: false,
             latency_ns: 10,
         }
@@ -1017,45 +872,8 @@ mod tests {
         let id = tr.open(SpanKind::Search);
         tr.event(probe(true)).unwrap();
         tr.close(id);
-        assert!(tr.context().is_none());
-        assert!(!tr.handle().enabled());
         // Nothing to observe — the point is that none of this panicked
         // and no sink existed to receive anything.
-    }
-
-    #[test]
-    fn cross_thread_worker_spans_nest_under_the_handed_out_context() {
-        let sink = Arc::new(MemorySink::new(1024));
-        let mut tr = Tracer::new(vec![sink.clone()]);
-        let root = tr.open(SpanKind::Search);
-        let ctx = tr.context().expect("root span is open");
-        let handle = tr.handle();
-        std::thread::scope(|scope| {
-            for worker in 0..2u32 {
-                let handle = handle.clone();
-                scope.spawn(move || {
-                    let mut wtr = handle.thread_tracer(worker + 1);
-                    let span = wtr.open_under(ctx, SpanKind::Worker { index: worker });
-                    wtr.event(EventKind::SpeculativeProbe {
-                        outcome: true,
-                        faulted: false,
-                        latency_ns: 7,
-                    })
-                    .unwrap();
-                    wtr.close(span);
-                });
-            }
-        });
-        tr.close(root);
-        let records = sink.drain();
-        check_invariants(&records).unwrap();
-        let threads: std::collections::HashSet<u32> = records.iter().map(|r| r.thread()).collect();
-        assert_eq!(threads.len(), 3, "search thread plus two workers");
-        for rec in &records {
-            if let TraceRecord::Open { kind: SpanKind::Worker { .. }, parent, .. } = rec {
-                assert_eq!(*parent, Some(root), "worker spans hang under the search span");
-            }
-        }
     }
 
     #[test]
@@ -1126,13 +944,7 @@ mod tests {
                 thread: 0,
                 at_ns: 1,
             },
-            TraceRecord::Open {
-                id: 3,
-                parent: Some(1),
-                kind: SpanKind::Worker { index: 4 },
-                thread: 5,
-                at_ns: 2,
-            },
+            open(3, Some(1), 5, 2),
             TraceRecord::Open {
                 id: 4,
                 parent: Some(2),
@@ -1148,7 +960,6 @@ mod tests {
                     target: "f x".to_owned(),
                     span: SrcSpan::new(1, 2),
                     outcome: true,
-                    cached: true,
                     faulted: false,
                     latency_ns: 0,
                 },
@@ -1162,19 +973,13 @@ mod tests {
                     target: String::new(),
                     span: SrcSpan::EMPTY,
                     outcome: false,
-                    cached: false,
                     faulted: true,
                     latency_ns: 12,
                 },
                 thread: 0,
                 at_ns: 5,
             },
-            TraceRecord::Event {
-                parent: 3,
-                kind: EventKind::SpeculativeProbe { outcome: true, faulted: false, latency_ns: 8 },
-                thread: 5,
-                at_ns: 6,
-            },
+            TraceRecord::Event { parent: 3, kind: probe(true), thread: 5, at_ns: 6 },
             TraceRecord::Event {
                 parent: 1,
                 kind: EventKind::PrefixLocalized { first_bad: 2, detail: "decl 2".to_owned() },
@@ -1191,11 +996,20 @@ mod tests {
     }
 
     #[test]
-    fn decoder_tolerates_missing_thread_and_rejects_garbage() {
+    fn decoder_tolerates_legacy_members_and_rejects_garbage() {
         let legacy = crate::json::parse(r#"{"t":"close","id":7,"at_ns":9}"#).unwrap();
         assert_eq!(
             TraceRecord::from_json(&legacy).unwrap(),
             TraceRecord::Close { id: 7, thread: 0, at_ns: 9 }
+        );
+        // Older traces carry a `cached` member on probe events.
+        let legacy = crate::json::parse(
+            r#"{"t":"event","parent":1,"kind":"oracle-probe","probe":"removal","target":"x + y","span":[4,9],"outcome":true,"cached":false,"latency_ns":10,"thread":0,"at_ns":3}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            TraceRecord::from_json(&legacy).unwrap(),
+            TraceRecord::Event { parent: 1, kind: probe(true), thread: 0, at_ns: 3 }
         );
         for bad in [
             r#"{"id":7,"at_ns":9}"#,
@@ -1242,37 +1056,16 @@ mod tests {
 
     #[test]
     fn invariant_checker_accepts_legal_concurrent_interleavings() {
-        // Two workers interleaved under one root: records from different
-        // threads arrive in sink-serialization order, timestamps are
-        // monotonic only per thread.
+        // Two threads' spans interleaved under one root (a merged
+        // stream): records from different threads arrive in
+        // sink-serialization order, timestamps are monotonic only per
+        // thread.
         let stream = vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
-            TraceRecord::Open {
-                id: 2,
-                parent: Some(1),
-                kind: SpanKind::Worker { index: 0 },
-                thread: 1,
-                at_ns: 10,
-            },
-            TraceRecord::Open {
-                id: 3,
-                parent: Some(1),
-                kind: SpanKind::Worker { index: 1 },
-                thread: 2,
-                at_ns: 5, // behind thread 1's clock reads — legal
-            },
-            TraceRecord::Event {
-                parent: 3,
-                kind: EventKind::SpeculativeProbe { outcome: true, faulted: false, latency_ns: 3 },
-                thread: 2,
-                at_ns: 6,
-            },
-            TraceRecord::Event {
-                parent: 2,
-                kind: EventKind::SpeculativeProbe { outcome: false, faulted: true, latency_ns: 4 },
-                thread: 1,
-                at_ns: 11,
-            },
+            open(2, Some(1), 1, 10),
+            open(3, Some(1), 2, 5), // behind thread 1's clock reads — legal
+            TraceRecord::Event { parent: 3, kind: probe(true), thread: 2, at_ns: 6 },
+            TraceRecord::Event { parent: 2, kind: probe(false), thread: 1, at_ns: 11 },
             close(3, 2, 7),
             close(2, 1, 12),
             close(1, 0, 20),
@@ -1282,54 +1075,37 @@ mod tests {
 
     #[test]
     fn invariant_checker_rejects_cross_thread_violations() {
-        // Worker closes a span before (without) opening it.
+        // Another thread closes a span before (without) opening it.
         let bad = vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
             close(2, 1, 5),
             close(1, 0, 9),
         ];
         assert!(check_invariants(&bad).is_err());
-        // Worker opens under a parent that is already closed (dead
+        // A span opens under a parent that is already closed (dead
         // cross-thread parent).
         let bad = vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
             open(2, Some(1), 0, 1),
             close(2, 0, 2),
-            TraceRecord::Open {
-                id: 3,
-                parent: Some(2),
-                kind: SpanKind::Worker { index: 0 },
-                thread: 1,
-                at_ns: 3,
-            },
+            open(3, Some(2), 1, 3),
             close(3, 1, 4),
             close(1, 0, 5),
         ];
         assert!(check_invariants(&bad).is_err());
-        // Worker event under a dead cross-thread parent.
+        // An event under a dead cross-thread parent.
         let bad = vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
             open(2, Some(1), 0, 1),
             close(2, 0, 2),
-            TraceRecord::Event {
-                parent: 2,
-                kind: EventKind::SpeculativeProbe { outcome: true, faulted: false, latency_ns: 1 },
-                thread: 1,
-                at_ns: 3,
-            },
+            TraceRecord::Event { parent: 2, kind: probe(true), thread: 1, at_ns: 3 },
             close(1, 0, 4),
         ];
         assert!(check_invariants(&bad).is_err());
         // A span must close on the thread that opened it.
         let bad = vec![
             TraceRecord::Open { id: 1, parent: None, kind: SpanKind::Search, thread: 0, at_ns: 0 },
-            TraceRecord::Open {
-                id: 2,
-                parent: Some(1),
-                kind: SpanKind::Worker { index: 0 },
-                thread: 1,
-                at_ns: 1,
-            },
+            open(2, Some(1), 1, 1),
             close(2, 0, 2),
             close(1, 0, 3),
         ];

@@ -210,7 +210,8 @@ pub struct CheckRequest {
     pub no_triage: bool,
     /// Localization backend guiding the search.
     pub backend: BackendKind,
-    /// Probe-engine worker threads (absent = server default).
+    /// Accepted for v1 compatibility: validated (`0` is an invalid
+    /// request) but otherwise ignored, since probes run sequentially.
     pub threads: Option<u64>,
     /// Admission control: wall-clock deadline for this one request.
     pub deadline_ms: Option<u64>,
@@ -1149,7 +1150,7 @@ mod tests {
         // The CLI renders `invalid configuration: {error}`; the Config
         // variant must therefore display the inner error with no
         // prefix of its own.
-        let api: ApiError = ConfigError::ZeroThreads.into();
-        assert_eq!(api.to_string(), ConfigError::ZeroThreads.to_string());
+        let api: ApiError = ConfigError::ZeroDeadline.into();
+        assert_eq!(api.to_string(), ConfigError::ZeroDeadline.to_string());
     }
 }

@@ -321,18 +321,17 @@ fn run_search<O: Oracle>(
         if c.no_triage { SearchConfig::without_triage() } else { SearchConfig::default() };
     config.collect_trace = hooks.collect_trace;
     config.guidance_backend = c.backend;
-    let mut builder = SearchSession::builder(oracle).config(config);
-    if let Some(n) = c.threads {
-        let Ok(n) = usize::try_from(n) else {
-            return error_response(
-                c.id,
-                Status::InvalidRequest,
-                ApiError::BadValue { field: "threads", why: "does not fit usize".to_owned() }
-                    .to_string(),
-            );
-        };
-        builder = builder.threads(n);
+    // `threads` is accepted for v1 compatibility and validated, but has
+    // no other effect: probes always run sequentially, and v1 promises
+    // identical payloads at every thread count.
+    if c.threads == Some(0) {
+        return error_response(
+            c.id,
+            Status::InvalidRequest,
+            ApiError::BadValue { field: "threads", why: "must be >= 1".to_owned() }.to_string(),
+        );
     }
+    let mut builder = SearchSession::builder(oracle).config(config);
     if let Some(ms) = c.deadline_ms {
         // Admission control: the per-request deadline becomes the
         // search `Budget`'s wall-clock bound, and time already burned
@@ -343,8 +342,9 @@ fn run_search<O: Oracle>(
     for sink in &hooks.sinks {
         builder = builder.sink(sink.clone());
     }
-    // The builder's typed validation is the admission check — there is
-    // deliberately no second hand-rolled validator here.
+    // The builder's typed validation is the admission check for every
+    // field the search reads — there is deliberately no second
+    // hand-rolled validator here.
     let session = match builder.build() {
         Ok(s) => s,
         Err(e) => {

@@ -6,7 +6,7 @@
 //! Two entry kinds:
 //!
 //! * `clean` — a minimized ill-typed program on which the whole
-//!   invariant catalog must pass (at the entry's thread count);
+//!   invariant catalog must pass;
 //! * `caught` — a program plus a chaos configuration under which the
 //!   named invariant must *fire*: the corpus proves not only that the
 //!   invariants hold, but that they still have teeth.
@@ -43,8 +43,6 @@ pub struct GoldenEntry {
     pub name: String,
     /// Program file, relative to the corpus directory.
     pub file: String,
-    /// Thread count for the differential pair during replay.
-    pub threads: usize,
     /// Chaos wrapped around the search oracle during replay, if any.
     pub chaos: Option<ChaosConfig>,
     /// Expected replay outcome.
@@ -62,7 +60,6 @@ impl GoldenEntry {
             ("name".to_owned(), Json::Str(self.name.clone())),
             ("file".to_owned(), Json::Str(self.file.clone())),
             ("kind".to_owned(), Json::Str(kind.to_owned())),
-            ("threads".to_owned(), Json::Num(self.threads as u64)),
             ("invariant".to_owned(), Json::Str(invariant)),
             ("chaos_seed".to_owned(), Json::Num(chaos.seed)),
             ("flip_per_mille".to_owned(), Json::Num(u64::from(chaos.flip_per_mille))),
@@ -84,7 +81,6 @@ impl GoldenEntry {
         };
         let name = str_of("name")?;
         let file = str_of("file")?;
-        let threads = usize::try_from(num_of("threads")?).map_err(|e| e.to_string())?;
         let flip = u16::try_from(num_of("flip_per_mille")?).map_err(|e| e.to_string())?;
         let panic = u16::try_from(num_of("panic_per_mille")?).map_err(|e| e.to_string())?;
         let seed = num_of("chaos_seed")?;
@@ -100,7 +96,7 @@ impl GoldenEntry {
             "caught" => GoldenKind::Caught { invariant: str_of("invariant")? },
             other => return Err(format!("{name}: unknown kind `{other}`")),
         };
-        Ok(GoldenEntry { name, file, threads, chaos, kind })
+        Ok(GoldenEntry { name, file, chaos, kind })
     }
 }
 
@@ -190,7 +186,7 @@ impl GoldenCorpus {
                     continue;
                 }
             };
-            let mut suite = InvariantSuite::new(entry.threads);
+            let mut suite = InvariantSuite::new();
             if let Some(chaos) = entry.chaos {
                 suite = suite.with_chaos(chaos);
             }

@@ -23,8 +23,6 @@ pub struct FuzzConfig {
     pub seed: u64,
     /// Number of cases to generate.
     pub cases: u64,
-    /// Thread count of the parallel side of each differential pair.
-    pub threads: usize,
     /// Whether to minimize failing cases before recording them.
     pub shrink: bool,
     /// Optional fault injection around the search oracle (the
@@ -39,13 +37,12 @@ pub struct FuzzConfig {
 }
 
 impl FuzzConfig {
-    /// The standard configuration: differential pair at 2 threads,
-    /// shrinking off, no chaos, incremental oracle on.
+    /// The standard configuration: shrinking off, no chaos,
+    /// incremental oracle on.
     pub fn new(seed: u64, cases: u64) -> FuzzConfig {
         FuzzConfig {
             seed,
             cases,
-            threads: 2,
             shrink: false,
             chaos: None,
             max_shrink_evals: 400,
@@ -156,7 +153,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzSummary {
 }
 
 fn run_fuzz_inner(cfg: &FuzzConfig) -> FuzzSummary {
-    let mut suite = InvariantSuite::new(cfg.threads).with_incremental(cfg.incremental);
+    let mut suite = InvariantSuite::new().with_incremental(cfg.incremental);
     if let Some(chaos) = cfg.chaos {
         suite = suite.with_chaos(chaos);
     }

@@ -3,8 +3,8 @@
 //! Each oracle is a pure check over search reports (plus, where needed,
 //! a fresh run of the real type-checker), returning `None` when the
 //! invariant holds. [`InvariantSuite::check_case`] runs the whole
-//! catalog against one program: it performs the sequential, parallel,
-//! and unguided searches itself so the individual oracles stay
+//! catalog against one program: it performs the guided, unguided, and
+//! opposite-oracle-mode searches itself so the individual oracles stay
 //! unit-testable on hand-built reports.
 //!
 //! The catalog (names are the stable identifiers used in JSONL failure
@@ -15,19 +15,18 @@
 //! | `suggestion-revalidates` | every reported suggestion's variant re-typechecks under a fresh, chaos-free oracle |
 //! | `outcome-agreement` | the report says `WellTyped` iff a fresh oracle accepts the input |
 //! | `pretty-roundtrip` | pretty-print → reparse → pretty-print is a fixpoint of the input |
-//! | `thread-identity` | `threads=1` and `threads=N` reports have identical payloads and completion |
-//! | `probe-accounting` | `oracle_calls + memo_hits + probe_faults` is conserved across thread counts |
+//! | `probe-accounting` | a counting oracle directly under the search sees exactly `oracle_calls + probe_faults` calls — no hidden cache, no speculation |
 //! | `blame-agreement` | blame-guided and unguided search accept the same suggestion set |
 //! | `backend-agreement` | the blame and MCS localization backends agree on well-typedness, baseline error, and core size; every MCS subset hits the blame core and its removal replays to SAT |
 //! | `completion-consistency` | `Completion` agrees with the stats that justify it |
 //! | `incremental-scratch-identity` | the checkpointed incremental oracle and a from-scratch oracle produce byte-identical payloads, ranks, and probe accounting |
 
-use seminal_core::{Outcome, SearchConfig, SearchReport, SearchSession};
+use seminal_core::{Oracle, Outcome, SearchConfig, SearchReport, SearchSession};
 use seminal_ml::ast::Program;
 use seminal_ml::parser::parse_program;
 use seminal_ml::pretty::program_to_string;
 use seminal_obs::Completion;
-use seminal_typeck::{check_program, ChaosConfig, ChaosOracle, CheckpointedOracle};
+use seminal_typeck::{check_program, ChaosConfig, ChaosOracle, CheckpointedOracle, CountingOracle};
 use std::collections::BTreeSet;
 
 /// Stable identifier: suggestions re-typecheck under a fresh oracle.
@@ -36,9 +35,7 @@ pub const INV_SUGGESTION_REVALIDATES: &str = "suggestion-revalidates";
 pub const INV_OUTCOME_AGREEMENT: &str = "outcome-agreement";
 /// Stable identifier: pretty-print → reparse fixpoint.
 pub const INV_PRETTY_ROUNDTRIP: &str = "pretty-roundtrip";
-/// Stable identifier: payload identity across thread counts.
-pub const INV_THREAD_IDENTITY: &str = "thread-identity";
-/// Stable identifier: logical-probe conservation across thread counts.
+/// Stable identifier: every oracle call is accounted by the search.
 pub const INV_PROBE_ACCOUNTING: &str = "probe-accounting";
 /// Stable identifier: guided/unguided suggestion-set agreement.
 pub const INV_BLAME_AGREEMENT: &str = "blame-agreement";
@@ -54,7 +51,6 @@ pub const ALL_INVARIANTS: &[&str] = &[
     INV_SUGGESTION_REVALIDATES,
     INV_OUTCOME_AGREEMENT,
     INV_PRETTY_ROUNDTRIP,
-    INV_THREAD_IDENTITY,
     INV_PROBE_ACCOUNTING,
     INV_BLAME_AGREEMENT,
     INV_BACKEND_AGREEMENT,
@@ -77,14 +73,12 @@ impl Violation {
     }
 }
 
-/// The configured catalog runner: how many worker threads the parallel
-/// differential run uses and what chaos (if any) wraps the *search*
-/// oracle. The revalidation oracle is always fresh and chaos-free —
-/// that asymmetry is what lets injected verdict flips be caught.
+/// The configured catalog runner: what chaos (if any) wraps the
+/// *search* oracle, and which oracle mode the primary runs use. The
+/// revalidation oracle is always fresh and chaos-free — that asymmetry
+/// is what lets injected verdict flips be caught.
 #[derive(Debug, Clone, Copy)]
 pub struct InvariantSuite {
-    /// Thread count of the parallel side of the differential pair.
-    pub threads: usize,
     /// Optional fault injection around the search oracle only.
     pub chaos: Option<ChaosConfig>,
     /// Whether the primary runs use the checkpointed incremental oracle
@@ -94,10 +88,16 @@ pub struct InvariantSuite {
     pub incremental: bool,
 }
 
+impl Default for InvariantSuite {
+    fn default() -> InvariantSuite {
+        InvariantSuite { chaos: None, incremental: true }
+    }
+}
+
 impl InvariantSuite {
-    /// A clean suite comparing `threads=1` against `threads`.
-    pub fn new(threads: usize) -> InvariantSuite {
-        InvariantSuite { threads: threads.max(1), chaos: None, incremental: true }
+    /// A clean suite on the incremental oracle.
+    pub fn new() -> InvariantSuite {
+        InvariantSuite::default()
     }
 
     /// Wraps the search oracle (not the revalidation oracle) in `chaos`.
@@ -113,74 +113,68 @@ impl InvariantSuite {
     }
 
     /// One search run in the suite's own oracle mode.
-    fn run(&self, prog: &Program, threads: usize, guidance: bool) -> SearchReport {
-        self.run_mode(prog, threads, guidance, self.incremental)
+    fn run(&self, prog: &Program, guidance: bool) -> (SearchReport, u64) {
+        self.run_mode(prog, guidance, self.incremental)
     }
 
-    /// One search run. Deadline is pinned off and the thread count is
-    /// pinned explicitly so fuzz results never depend on ambient
-    /// `SEMINAL_THREADS` / `SEMINAL_DEADLINE_MS` settings. Chaos, when
-    /// configured, wraps *outside* the checkpointed oracle — injection
-    /// decisions are a pure function of rendered text and seed, so they
-    /// are identical in both oracle modes.
-    fn run_mode(
-        &self,
-        prog: &Program,
-        threads: usize,
-        guidance: bool,
-        incremental: bool,
-    ) -> SearchReport {
+    /// One search run, returning the report and the number of calls a
+    /// [`CountingOracle`] directly under the search saw. Deadline is
+    /// pinned off so fuzz results never depend on an ambient
+    /// `SEMINAL_DEADLINE_MS`. Chaos, when configured, wraps *outside*
+    /// the checkpointed oracle — injection decisions are a pure function
+    /// of rendered text and seed, so they are identical in both oracle
+    /// modes.
+    fn run_mode(&self, prog: &Program, guidance: bool, incremental: bool) -> (SearchReport, u64) {
         let mut config =
             if guidance { SearchConfig::default() } else { SearchConfig::without_blame_guidance() };
         config.deadline = None;
         config.incremental_oracle = incremental;
         let checker = CheckpointedOracle::with_enabled(incremental);
         match self.chaos {
-            Some(chaos) => SearchSession::builder(ChaosOracle::new(checker, chaos))
-                .config(config)
-                .threads(threads)
-                .memoize(true)
-                .build()
-                .expect("fuzz search config is valid")
-                .search(prog),
-            None => SearchSession::builder(checker)
-                .config(config)
-                .threads(threads)
-                .memoize(true)
-                .build()
-                .expect("fuzz search config is valid")
-                .search(prog),
+            Some(chaos) => search_counted(ChaosOracle::new(checker, chaos), config, prog),
+            None => search_counted(checker, config, prog),
         }
     }
 
     /// Runs the whole catalog against `prog`, returning every violation
     /// (empty when all invariants hold).
     pub fn check_case(&self, prog: &Program) -> Vec<Violation> {
-        let base = self.run(prog, 1, true);
-        let par = self.run(prog, self.threads, true);
-        let unguided = self.run(prog, 1, false);
-        // The incremental-vs-scratch differential: one extra sequential
-        // run in the *opposite* oracle mode, compared against `base`.
-        let other = self.run_mode(prog, 1, true, !self.incremental);
+        let (base, raw_calls) = self.run(prog, true);
+        let (unguided, _) = self.run(prog, false);
+        // The incremental-vs-scratch differential: one extra run in the
+        // *opposite* oracle mode, compared against `base`.
+        let (other, _) = self.run_mode(prog, true, !self.incremental);
         let (incr, scratch) = if self.incremental { (&base, &other) } else { (&other, &base) };
         let mut out = Vec::new();
         out.extend(outcome_agreement(prog, &base));
         out.extend(suggestion_revalidates(&base));
         out.extend(pretty_roundtrip(prog));
-        out.extend(thread_identity(&base, &par, self.threads));
-        out.extend(probe_accounting(&base, &par, self.threads));
+        out.extend(probe_accounting(&base, raw_calls));
         out.extend(blame_agreement(&base, &unguided));
         out.extend(backend_agreement(prog));
         out.extend(completion_consistency(&base));
-        out.extend(completion_consistency(&par));
         out.extend(incremental_scratch_identity(incr, scratch));
         out
     }
 }
 
+fn search_counted<O: Oracle>(
+    oracle: O,
+    config: SearchConfig,
+    prog: &Program,
+) -> (SearchReport, u64) {
+    let counted = CountingOracle::new(oracle);
+    let report = SearchSession::builder(&counted)
+        .config(config)
+        .build()
+        .expect("fuzz search config is valid")
+        .search(prog);
+    (report, counted.calls())
+}
+
 /// Every reported suggestion's variant must re-typecheck under a fresh
-/// [`TypeCheckOracle`] — the paper's core promise. A memo bug, an engine
-/// race, or an injected verdict flip all surface here.
+/// [`TypeCheckOracle`] — the paper's core promise. A memo bug, an
+/// incremental-oracle bug, or an injected verdict flip all surface here.
 pub fn suggestion_revalidates(report: &SearchReport) -> Option<Violation> {
     for (rank, s) in report.suggestions().iter().enumerate() {
         if check_program(&s.variant).is_err() {
@@ -236,49 +230,22 @@ pub fn pretty_roundtrip(prog: &Program) -> Option<Violation> {
     }
 }
 
-/// `threads=1` and `threads=N` must produce identical user-visible
-/// payloads and the same completion status.
-pub fn thread_identity(
-    base: &SearchReport,
-    par: &SearchReport,
-    threads: usize,
-) -> Option<Violation> {
-    if base.payload() != par.payload() {
-        return Some(Violation::new(
-            INV_THREAD_IDENTITY,
-            format!(
-                "payload diverged at {threads} threads ({} vs {} suggestions)",
-                base.suggestions().len(),
-                par.suggestions().len()
-            ),
-        ));
-    }
-    if base.completion != par.completion {
-        return Some(Violation::new(
-            INV_THREAD_IDENTITY,
-            format!(
-                "completion diverged at {threads} threads: {} vs {}",
-                base.completion, par.completion
-            ),
-        ));
-    }
-    None
-}
-
-/// `oracle_calls + memo_hits + probe_faults` — the logical probe count —
-/// must be conserved across thread counts.
-pub fn probe_accounting(
-    base: &SearchReport,
-    par: &SearchReport,
-    threads: usize,
-) -> Option<Violation> {
-    let (a, b) = (base.stats.logical_probes(), par.stats.logical_probes());
-    if a == b {
+/// A [`CountingOracle`] placed directly under the search must have
+/// seen exactly `oracle_calls + probe_faults` calls (when, as in the
+/// fuzz harness, faults come only from the oracle): every call the
+/// search makes is accounted once, so there is no hidden verdict cache
+/// and no speculative probing.
+pub fn probe_accounting(report: &SearchReport, raw_calls: u64) -> Option<Violation> {
+    let accounted = report.stats.oracle_calls + report.stats.probe_faults;
+    if raw_calls == accounted {
         None
     } else {
         Some(Violation::new(
             INV_PROBE_ACCOUNTING,
-            format!("logical probes diverged: {a} sequential vs {b} at {threads} threads"),
+            format!(
+                "the oracle saw {raw_calls} calls but the search accounted {} calls + {} faults",
+                report.stats.oracle_calls, report.stats.probe_faults
+            ),
         ))
     }
 }
@@ -378,7 +345,7 @@ pub fn backend_agreement(prog: &Program) -> Option<Violation> {
 /// against a from-scratch oracle on the same program, the user-visible
 /// payload must be byte-identical (the ordered comparison also pins
 /// suggestion ranks), the completion must match, and the probe accounting
-/// (`oracle_calls`, `memo_hits`, `probe_faults`) must be identical —
+/// (`oracle_calls`, `probe_faults`) must be identical —
 /// prefix reuse saves *inference work inside* a call, never a call.
 pub fn incremental_scratch_identity(
     incr: &SearchReport,
@@ -398,13 +365,12 @@ pub fn incremental_scratch_identity(
             incr.completion, scratch.completion
         ));
     }
-    let count = |r: &SearchReport| {
-        (r.stats.oracle_calls, r.stats.memo_hits, r.stats.probe_faults, r.stats.first_bad_decl)
-    };
+    let count =
+        |r: &SearchReport| (r.stats.oracle_calls, r.stats.probe_faults, r.stats.first_bad_decl);
     if count(incr) != count(scratch) {
         return bad(format!(
             "probe accounting diverged: {:?} incremental vs {:?} scratch \
-             (oracle_calls, memo_hits, probe_faults, first_bad_decl)",
+             (oracle_calls, probe_faults, first_bad_decl)",
             count(incr),
             count(scratch)
         ));
@@ -460,7 +426,7 @@ mod tests {
 
     #[test]
     fn clean_scenarios_satisfy_the_whole_catalog() {
-        let suite = InvariantSuite::new(2);
+        let suite = InvariantSuite::new();
         for src in [
             "let x = 1 + true",
             "let add str lst = if List.mem str lst then lst else str :: lst\n\
@@ -495,7 +461,7 @@ mod tests {
         // program well-typed (outcome-agreement). Either way the catalog
         // must fire — this is the intentionally-injected violation of
         // the acceptance criteria.
-        let suite = InvariantSuite::new(2).with_chaos(ChaosConfig::flips(1729, 1000));
+        let suite = InvariantSuite::new().with_chaos(ChaosConfig::flips(1729, 1000));
         let prog = parse_program("let x = 1 + true").unwrap();
         let violations = suite.check_case(&prog);
         assert!(

@@ -6,9 +6,9 @@
 //! injection decision is a pure function of the **rendered program
 //! text** and the configured seed (FNV-1a over the text, mixed through
 //! SplitMix64), never of call order or thread interleaving. That is the
-//! property the chaos suite leans on: the same variant faults at 1, 2,
-//! and 8 worker threads, so suggestion payloads and fault counts stay
-//! identical while the schedule varies freely.
+//! property the chaos suite leans on: the same variant faults on every
+//! run and in both oracle modes, so suggestion payloads and fault counts
+//! stay identical.
 //!
 //! Injected panics carry the marker string `"chaos"` in their payload so
 //! test harnesses can install a panic hook that silences expected
@@ -112,7 +112,7 @@ impl<O: Oracle> ChaosOracle<O> {
     /// (panic, flip, delay) decisions for `prog`, each an independent
     /// draw from the text-keyed SplitMix64 stream.
     fn draws(&self, prog: &Program) -> (bool, bool, bool) {
-        let mut state = fnv1a(program_to_string(prog).as_bytes()) ^ self.config.seed;
+        let mut state = seminal_obs::fnv1a(program_to_string(prog).as_bytes()) ^ self.config.seed;
         let panic_hit = per_mille_hit(splitmix64(&mut state), self.config.panic_per_mille);
         let flip_hit = per_mille_hit(splitmix64(&mut state), self.config.flip_per_mille);
         let delay_hit = per_mille_hit(splitmix64(&mut state), self.config.delay_per_mille);
@@ -142,15 +142,6 @@ impl<O: Oracle> Oracle for ChaosOracle<O> {
     fn incremental_stats(&self) -> Option<crate::oracle::IncrementalStats> {
         self.inner.incremental_stats()
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// One step of the SplitMix64 sequence (Steele–Lea–Flood), advancing

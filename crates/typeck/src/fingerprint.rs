@@ -3,37 +3,18 @@
 //! The serve daemon's cross-request memo (PR 8) needs a key that is
 //! stable across processes and across re-parses of the same text:
 //! `NodeId`s are neither (the parser hands them out in visit order), so
-//! the key is an FNV-1a hash over the **pretty-printed** subtree — the
-//! same canonical text the in-search [`ShardedMemo`] already keys on,
-//! compressed to a `u64` so millions of verdicts fit in memory.
+//! the key is an FNV-1a hash ([`seminal_obs::fnv1a`]) over the
+//! **pretty-printed** subtree, compressed to a `u64` so millions of
+//! verdicts fit in memory.
 //!
 //! Two programs collide only if their printed forms collide under
 //! FNV-1a 64; for a cache of probe verdicts that is an acceptable risk
 //! (a collision can at worst replay a stale verdict, never corrupt the
 //! search — and the differential suites would catch a systematic one).
-//!
-//! [`ShardedMemo`]: ../seminal_core/engine/struct.ShardedMemo.html
 
 use seminal_ml::ast::{Decl, DeclKind, Program};
 use seminal_ml::pretty::decl_to_string;
-
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over raw bytes — the same function the probe engine uses for
-/// shard selection, exposed here so every fingerprint in the workspace
-/// agrees byte-for-byte.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+use seminal_obs::fnv1a;
 
 /// Fingerprint of one top-level declaration subtree: FNV-1a over its
 /// pretty-printed text.
@@ -54,12 +35,11 @@ pub fn decl_fingerprints(prog: &Program) -> Vec<u64> {
 /// excluded — they never influence inference or its errors.
 #[must_use]
 pub fn decl_fingerprint_spanned(d: &Decl) -> u64 {
-    let mut hash = fnv1a(decl_to_string(d).as_bytes());
+    // The printed text followed by every span's little-endian bounds.
+    let mut bytes = decl_to_string(d).into_bytes();
     let mut mix = |start: u32, end: u32| {
-        for b in start.to_le_bytes().into_iter().chain(end.to_le_bytes()) {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
+        bytes.extend(start.to_le_bytes());
+        bytes.extend(end.to_le_bytes());
     };
     mix(d.span.start, d.span.end);
     d.for_each_expr(&mut |e| mix(e.span.start, e.span.end));
@@ -71,7 +51,7 @@ pub fn decl_fingerprint_spanned(d: &Decl) -> u64 {
             }
         }
     }
-    hash
+    fnv1a(&bytes)
 }
 
 /// Fingerprint of a whole program: the per-declaration subtree hashes
@@ -81,14 +61,8 @@ pub fn decl_fingerprint_spanned(d: &Decl) -> u64 {
 /// incremental per-subtree cache would build on.
 #[must_use]
 pub fn program_fingerprint(prog: &Program) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for sub in decl_fingerprints(prog) {
-        for b in sub.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
+    let bytes: Vec<u8> = decl_fingerprints(prog).into_iter().flat_map(u64::to_le_bytes).collect();
+    fnv1a(&bytes)
 }
 
 #[cfg(test)]
@@ -125,6 +99,15 @@ mod tests {
         let (fa, fb) = (decl_fingerprints(&a), decl_fingerprints(&b));
         assert_eq!(fa[0], fb[0]);
         assert_ne!(fa[1], fb[1]);
+    }
+
+    #[test]
+    fn fingerprints_are_stable_across_builds() {
+        // Known answers: the serve memo and the incremental oracle key on
+        // these values, so the hash layout must not drift.
+        let p = parse_program("let x = 1 + true\nlet y = x").unwrap();
+        assert_eq!(program_fingerprint(&p), 0xe0db_1852_7f92_88e3);
+        assert_eq!(decl_fingerprint_spanned(&p.decls[0]), 0x75da_4335_bcbd_97dd);
     }
 
     #[test]

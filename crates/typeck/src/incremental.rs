@@ -20,8 +20,8 @@
 //! execute. Spans are part of the prefix-match key because type errors
 //! carry them; node ids are not because inference never reads them.
 //!
-//! Concurrency: the chain sits behind a `Mutex`. The parallel probe
-//! engine calls `check` from several workers; whoever holds the lock
+//! Concurrency: the chain sits behind a `Mutex`. When several threads
+//! share one oracle and call `check` at once, whoever holds the lock
 //! gets the incremental path and everyone else falls back to a scratch
 //! check (correct, just uncached). A panic that unwinds through the lock
 //! (injected chaos, a checker bug) poisons the mutex; the next call
@@ -250,8 +250,8 @@ impl Oracle for CheckpointedOracle {
                 self.seed_counted(&mut chain, prog)
             }
             Err(std::sync::TryLockError::WouldBlock) => {
-                // Another worker holds the chain; a scratch check is
-                // always correct and avoids serializing the probe engine.
+                // Another thread holds the chain; a scratch check is
+                // always correct and avoids serializing the callers.
                 self.decls_recheck.fetch_add(prog.decls.len() as u64, Ordering::Relaxed);
                 check_program(prog)
             }

@@ -17,12 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The search layers never call an oracle bare on the probe path: every
 /// probe runs under a panic guard ([`guarded_probe`]) and an oracle that
-/// panics yields `Faulted` instead of unwinding into the engine. A
-/// `Faulted` verdict is memoized like any other (so a deterministic
-/// fault costs one fault, not one per duplicate probe), counted in
-/// `probe_faults`, and treated as "did not type-check" by the search —
-/// the conservative reading that can suppress a suggestion but never
-/// fabricate one.
+/// panics yields `Faulted` instead of unwinding into the search. A
+/// `Faulted` verdict is counted in `probe_faults` and treated as "did
+/// not type-check" by the search — the conservative reading that can
+/// suppress a suggestion but never fabricate one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeOutcome {
     /// The variant type-checked.
@@ -102,11 +100,11 @@ pub struct IncrementalStats {
 
 /// A black-box type checker.
 ///
-/// Oracles are `Send + Sync`: the parallel probe engine shares one oracle
-/// across its worker threads, so `check` must be callable concurrently.
-/// Oracles carrying mutable state (counters, registries) use interior
-/// mutability with atomics or locks, as [`CountingOracle`] and
-/// [`InstrumentedOracle`] do.
+/// Oracles are `Send + Sync`: one oracle can serve concurrent searches
+/// (the serve daemon's connections share one memo-backed stack), so
+/// `check` must be callable concurrently. Oracles carrying mutable state
+/// (counters, caches) use interior mutability with atomics or locks, as
+/// [`CountingOracle`] does.
 pub trait Oracle: Send + Sync {
     /// Type-checks the whole program, returning the first error if any.
     ///
@@ -114,21 +112,6 @@ pub trait Oracle: Send + Sync {
     ///
     /// The first [`TypeError`] in inference order.
     fn check(&self, prog: &Program) -> Result<(), TypeError>;
-
-    /// Type-checks a whole frontier of program variants at once, in
-    /// order. The default just maps [`Oracle::check`]; oracles with
-    /// per-call setup worth amortizing (an external checker process, the
-    /// C++ instantiation checker warming a template cache) override this
-    /// to pay that setup once per batch. The parallel probe engine hands
-    /// each worker's stolen chunk through this method.
-    ///
-    /// # Errors
-    ///
-    /// One verdict per variant, each carrying the first [`TypeError`] in
-    /// inference order when ill-typed.
-    fn check_batch(&self, progs: &[&Program]) -> Vec<Result<(), TypeError>> {
-        progs.iter().map(|p| self.check(p)).collect()
-    }
 
     /// Incremental-oracle counters, when an incremental oracle sits
     /// somewhere in this oracle stack. Wrappers forward to their inner
@@ -157,8 +140,8 @@ impl Oracle for TypeCheckOracle {
 
 /// Wraps an oracle and counts calls — the cost metric of the paper's
 /// efficiency discussion (search cost ≈ number of type-checker runs).
-/// The counter is atomic so the wrapper stays a valid [`Oracle`] when
-/// probes run on the parallel engine's worker threads.
+/// The counter is atomic so the wrapper stays a valid (`Sync`)
+/// [`Oracle`].
 #[derive(Debug, Default)]
 pub struct CountingOracle<O> {
     inner: O,
@@ -208,54 +191,6 @@ impl<O: Oracle + ?Sized> Oracle for &O {
     }
 }
 
-/// Wraps an oracle and publishes calls, errors, and per-call latency to
-/// a shared [`MetricsRegistry`](seminal_obs::MetricsRegistry): counter
-/// `oracle.calls`, counter `oracle.errors` (ill-typed verdicts), and
-/// histogram `oracle.check_latency_ns`. Unlike the search's own
-/// per-report metrics, the registry is shared and thread-safe, so one
-/// registry can aggregate across many searches (the eval harness) or
-/// across oracles.
-#[derive(Debug)]
-pub struct InstrumentedOracle<O> {
-    inner: O,
-    registry: std::sync::Arc<seminal_obs::MetricsRegistry>,
-}
-
-impl<O: Oracle> InstrumentedOracle<O> {
-    /// Wraps `inner`, publishing into `registry`.
-    pub fn new(inner: O, registry: std::sync::Arc<seminal_obs::MetricsRegistry>) -> Self {
-        InstrumentedOracle { inner, registry }
-    }
-
-    /// The registry this oracle publishes into.
-    pub fn registry(&self) -> &std::sync::Arc<seminal_obs::MetricsRegistry> {
-        &self.registry
-    }
-
-    /// Unwraps the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: Oracle> Oracle for InstrumentedOracle<O> {
-    fn check(&self, prog: &Program) -> Result<(), TypeError> {
-        let clock = std::time::Instant::now();
-        let verdict = self.inner.check(prog);
-        let ns = u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.registry.inc("oracle.calls");
-        if verdict.is_err() {
-            self.registry.inc("oracle.errors");
-        }
-        self.registry.observe("oracle.check_latency_ns", ns);
-        verdict
-    }
-
-    fn incremental_stats(&self) -> Option<IncrementalStats> {
-        self.inner.incremental_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,20 +206,6 @@ mod tests {
     fn oracle_rejects_ill_typed() {
         let prog = parse_program("let x = 1 + true").unwrap();
         assert!(TypeCheckOracle::new().check(&prog).is_err());
-    }
-
-    #[test]
-    fn instrumented_oracle_publishes_metrics() {
-        let registry = std::sync::Arc::new(seminal_obs::MetricsRegistry::new());
-        let oracle = InstrumentedOracle::new(TypeCheckOracle::new(), registry.clone());
-        let good = parse_program("let x = 1").unwrap();
-        let bad = parse_program("let x = 1 + true").unwrap();
-        assert!(oracle.check(&good).is_ok());
-        assert!(oracle.check(&bad).is_err());
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("oracle.calls"), 2);
-        assert_eq!(snap.counter("oracle.errors"), 1);
-        assert_eq!(snap.histograms["oracle.check_latency_ns"].count, 2);
     }
 
     #[test]

@@ -18,20 +18,19 @@
 //! pass: a top-k list of blamed spans from unsat-core localization,
 //! usable as a fast lint without any oracle search.
 //!
-//! `--threads N` on `check` and `cpp` selects the parallel probe engine's
-//! worker count (default honors `SEMINAL_THREADS`; suggestions are
-//! identical at every thread count). `--deadline-ms N` bounds one
-//! search's wall clock (default honors `SEMINAL_DEADLINE_MS`): when it
-//! expires, best-so-far suggestions are still printed and the run exits
-//! with the degraded code 5.
+//! `--deadline-ms N` bounds one search's wall clock (default honors
+//! `SEMINAL_DEADLINE_MS`): when it expires, best-so-far suggestions are
+//! still printed and the run exits with the degraded code 5. `--threads
+//! N` applies only to the C++ prototype (`cpp`, `fuzz --cpp`); Caml
+//! searches probe sequentially.
 //!
 //! Observability flags on `check`: `--trace` (structured span/probe tree),
 //! `--trace-json PATH` (stream JSONL trace records), `--metrics-json PATH`
 //! (write the `seminal-obs/metrics-v1` snapshot), `--profile` (per-span
 //! oracle-cost flame report), `--trace-chrome PATH` (write a Chrome
-//! `trace_event` document — one track per worker — loadable in
-//! `chrome://tracing` or Perfetto), `--crash-dir DIR` (persist the
-//! flight-recorder crash report when the run degrades or probes fault).
+//! `trace_event` document loadable in `chrome://tracing` or Perfetto),
+//! `--crash-dir DIR` (persist the flight-recorder crash report when the
+//! run degrades or probes fault).
 //! `check` also accepts `--chaos-panic`/`--chaos-flip`/`--chaos-seed` to
 //! inject deterministic faults into the oracle, for exercising the
 //! post-mortem pipeline end to end. `metrics-check` validates a snapshot
@@ -120,8 +119,8 @@ struct Opts {
     tolerance: Option<u64>,
     /// Time tolerance (percent) for `*_ns` values in the perf-trend gate.
     time_tolerance: Option<u64>,
-    /// Worker threads for the parallel probe engine (`None` = config
-    /// default, which honors `SEMINAL_THREADS`).
+    /// Worker threads for the C++ prototype's search (`cpp`, `fuzz
+    /// --cpp`; `None` = its default, which honors `SEMINAL_THREADS`).
     threads: Option<usize>,
     /// Wall-clock deadline per search in milliseconds (`None` = config
     /// default, which honors `SEMINAL_DEADLINE_MS`).
@@ -456,7 +455,13 @@ fn main() -> ExitCode {
             }
         }
     }
-    match positional.first().copied() {
+    let command = positional.first().copied();
+    let cpp_search = command == Some("cpp") || (command == Some("fuzz") && opts.cpp);
+    if opts.threads.is_some() && !cpp_search {
+        eprintln!("--threads applies only to the C++ prototype (`cpp`, `fuzz --cpp`)");
+        return usage();
+    }
+    match command {
         Some("check") => match positional.get(1) {
             Some(path) => check_file(path, &opts),
             None => usage(),
@@ -488,8 +493,8 @@ fn main() -> ExitCode {
 fn usage() -> ExitCode {
     eprint!(
         "usage:\n  \
-         seminal check [--top N] [--no-triage] [--no-incremental] [--threads N]\n               \
-         [--deadline-ms N] [--backend blame|mcs] [--trace] [--profile]\n               \
+         seminal check [--top N] [--no-triage] [--no-incremental] [--deadline-ms N]\n               \
+         [--backend blame|mcs] [--trace] [--profile]\n               \
          [--metrics-json PATH] [--trace-json PATH] [--trace-chrome PATH]\n               \
          [--crash-dir DIR] [--chaos-panic PM] [--chaos-flip PM]\n               \
          [--chaos-seed S] <file.ml>\n  \
@@ -502,9 +507,9 @@ fn usage() -> ExitCode {
          counters and latency percentiles against a committed run\n  \
          seminal crash show <file.json>         render a crash report\n  \
          seminal cpp [--threads N] [--deadline-ms N] <file.cpp>    C++ prototype\n  \
-         seminal fuzz [--seed S] [--cases N] [--threads N] [--shrink] [--out PATH]\n               \
-         [--chaos-flip PM] [--chaos-panic PM] [--chaos-seed S] [--cpp]\n               \
-         [--no-incremental]\n                            \
+         seminal fuzz [--seed S] [--cases N] [--shrink] [--out PATH]\n               \
+         [--chaos-flip PM] [--chaos-panic PM] [--chaos-seed S]\n               \
+         [--no-incremental] [--cpp [--threads N]]\n                            \
          run the deterministic property-fuzzing harness\n  \
          seminal serve [--tcp ADDR | --connect ADDR] [--memo-capacity N]\n               \
          [--max-connections N] [--max-inflight N] [--drain-ms N]\n               \
@@ -549,7 +554,7 @@ fn check_file(path: &str, opts: &Opts) -> ExitCode {
         top: opts.top as u64,
         no_triage: opts.no_triage,
         backend: opts.backend,
-        threads: opts.threads.map(|n| n as u64),
+        threads: None,
         deadline_ms: opts.deadline_ms,
         chaos_flip: opts.chaos_flip,
         chaos_panic: opts.chaos_panic,
@@ -673,7 +678,6 @@ fn render_trace_tree(records: &[TraceRecord], source: &str) -> String {
                         format!("descend (line {})", line_of(span.start))
                     }
                     SpanKind::Triage { round } => format!("triage round {round}"),
-                    SpanKind::Worker { index } => format!("worker {index}"),
                     SpanKind::Server => "server".to_owned(),
                     SpanKind::Request { id } => format!("request {id}"),
                 };
@@ -682,16 +686,15 @@ fn render_trace_tree(records: &[TraceRecord], source: &str) -> String {
             }
             TraceRecord::Close { .. } => depth = depth.saturating_sub(1),
             TraceRecord::Event { kind, .. } => match kind {
-                EventKind::OracleProbe { probe, target, outcome, cached, latency_ns, .. } => {
+                EventKind::OracleProbe { probe, target, outcome, latency_ns, .. } => {
                     let _ = writeln!(
                         out,
-                        "  {:indent$}[{}] {}  `{}`{}{}",
+                        "  {:indent$}[{}] {}  `{}`{}",
                         "",
                         if *outcome { "ok " } else { "err" },
                         probe.legacy_action(),
                         target,
-                        if *cached { "  (cached)" } else { "" },
-                        if *latency_ns > 0 && !cached {
+                        if *latency_ns > 0 {
                             format!("  {}µs", latency_ns / 1_000)
                         } else {
                             String::new()
@@ -704,21 +707,6 @@ fn render_trace_tree(records: &[TraceRecord], source: &str) -> String {
                         out,
                         "  {:indent$}[loc] prefix  `{detail}`",
                         "",
-                        indent = depth * 2,
-                    );
-                }
-                EventKind::SpeculativeProbe { outcome, faulted, latency_ns } => {
-                    let _ = writeln!(
-                        out,
-                        "  {:indent$}[{}] speculative{}{}",
-                        "",
-                        if *outcome { "ok " } else { "err" },
-                        if *faulted { "  (faulted)" } else { "" },
-                        if *latency_ns > 0 {
-                            format!("  {}µs", latency_ns / 1_000)
-                        } else {
-                            String::new()
-                        },
                         indent = depth * 2,
                     );
                 }
@@ -1047,11 +1035,7 @@ fn crash_show(path: &str) -> ExitCode {
     println!("  completion:    {}", report.completion);
     println!("  probe faults:  {}", report.probe_faults);
     println!("  threads:       {}", report.threads);
-    println!(
-        "  oracle calls:  {} ({} memo hits)",
-        report.metrics.counter("oracle_calls"),
-        report.metrics.counter("memo_hits"),
-    );
+    println!("  oracle calls:  {}", report.metrics.counter("oracle_calls"));
     println!(
         "  trace tail:    {} record(s), {} dropped by the ring",
         report.records.len(),
@@ -1067,14 +1051,8 @@ fn crash_show(path: &str) -> ExitCode {
             }
             TraceRecord::Event { kind, thread, at_ns, .. } => {
                 let what = match kind {
-                    EventKind::OracleProbe { outcome, faulted, cached, .. } => format!(
-                        "oracle probe [{}]{}{}",
-                        if *outcome { "ok" } else { "err" },
-                        if *faulted { " faulted" } else { "" },
-                        if *cached { " cached" } else { "" },
-                    ),
-                    EventKind::SpeculativeProbe { outcome, faulted, .. } => format!(
-                        "speculative probe [{}]{}",
+                    EventKind::OracleProbe { outcome, faulted, .. } => format!(
+                        "oracle probe [{}]{}",
                         if *outcome { "ok" } else { "err" },
                         if *faulted { " faulted" } else { "" },
                     ),
@@ -1141,12 +1119,12 @@ fn check_cpp(path: &str, opts: &Opts) -> ExitCode {
 /// Runs the deterministic property-fuzzing harness (`seminal fuzz`).
 fn fuzz_cmd(opts: &Opts) -> ExitCode {
     use seminal::testkit::{run_cpp_fuzz, run_fuzz, CppFuzzConfig, FuzzConfig};
-    let threads = opts.threads.unwrap_or(2);
-    if threads == 0 {
-        eprintln!("invalid configuration: --threads must be at least 1");
-        return ExitCode::from(EXIT_USAGE);
-    }
     let (rendered, ok, jsonl) = if opts.cpp {
+        let threads = opts.threads.unwrap_or(2);
+        if threads == 0 {
+            eprintln!("invalid configuration: --threads must be at least 1");
+            return ExitCode::from(EXIT_USAGE);
+        }
         if opts.chaos_flip > 0 {
             eprintln!("invalid configuration: the C++ loop has no --chaos-flip (panics only)");
             return ExitCode::from(EXIT_USAGE);
@@ -1167,7 +1145,6 @@ fn fuzz_cmd(opts: &Opts) -> ExitCode {
             c
         });
         let cfg = FuzzConfig {
-            threads,
             shrink: opts.shrink,
             chaos,
             incremental: !opts.no_incremental,

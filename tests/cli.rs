@@ -282,10 +282,7 @@ fn shipped_samples_all_work() {
 
 #[test]
 fn fuzz_subcommand_runs_a_clean_campaign() {
-    let out = seminal()
-        .args(["fuzz", "--seed", "42", "--cases", "10", "--threads", "2"])
-        .output()
-        .expect("run fuzz");
+    let out = seminal().args(["fuzz", "--seed", "42", "--cases", "10"]).output().expect("run fuzz");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("fuzz.cases           10"));
@@ -321,13 +318,23 @@ fn fuzz_cpp_loop_runs_clean() {
 }
 
 #[test]
-fn trace_chrome_exports_distinct_worker_tracks() {
+fn threads_flag_is_a_usage_error_outside_the_cpp_prototype() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let sample = format!("{root}/samples/figure2.ml");
+    let check = seminal().args(["check", "--threads", "2", &sample]).output().unwrap();
+    assert_eq!(check.status.code(), Some(2), "check probes sequentially; --threads is usage");
+    let fuzz = seminal().args(["fuzz", "--cases", "1", "--threads", "2"]).output().unwrap();
+    assert_eq!(fuzz.status.code(), Some(2), "the Caml fuzz loop takes no --threads");
+}
+
+#[test]
+fn trace_chrome_exports_a_single_search_track() {
     let root = env!("CARGO_MANIFEST_DIR");
     let dir = std::env::temp_dir().join("seminal-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("chrome-trace.json");
     seminal()
-        .args(["check", "--threads", "4", "--trace-chrome"])
+        .args(["check", "--trace-chrome"])
         .arg(&path)
         .arg(format!("{root}/samples/deadline_stress.ml"))
         .output()
@@ -338,23 +345,20 @@ fn trace_chrome_exports_distinct_worker_tracks() {
         panic!("traceEvents is not an array");
     };
     assert!(events.len() > 50, "expected a real trace, got {} events", events.len());
-    // Track names: the search thread plus named worker tracks.
+    // Probes run sequentially: one named track, and every span, probe,
+    // and marker sits on it.
     let names: Vec<&str> = events
         .iter()
         .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("thread_name"))
         .filter_map(|e| e.get("args")?.get("name")?.as_str())
         .collect();
-    assert!(names.contains(&"search"), "{names:?}");
-    let workers: std::collections::HashSet<u64> = events
+    assert_eq!(names, ["search"], "one search track");
+    let tids: std::collections::HashSet<u64> = events
         .iter()
         .filter(|e| matches!(e.get("ph").and_then(|p| p.as_str()), Some("B" | "E" | "X" | "i")))
         .filter_map(|e| e.get("tid")?.as_num())
-        .filter(|&tid| tid != 0)
         .collect();
-    assert!(
-        workers.len() >= 2,
-        "expected >= 2 distinct worker tracks at 4 threads, saw {workers:?} ({names:?})"
-    );
+    assert_eq!(tids, std::collections::HashSet::from([0]), "every event on the search track");
     std::fs::remove_file(&path).ok();
 }
 
@@ -364,7 +368,7 @@ fn chaos_check_writes_a_crash_report_and_crash_show_renders_it() {
     let dir = std::env::temp_dir().join("seminal-cli-test").join("crash-reports");
     std::fs::remove_dir_all(&dir).ok();
     let out = seminal()
-        .args(["check", "--threads", "4", "--chaos-panic", "100", "--chaos-seed", "1729"])
+        .args(["check", "--chaos-panic", "100", "--chaos-seed", "1729"])
         .arg("--crash-dir")
         .arg(&dir)
         .arg(format!("{root}/samples/figure2.ml"))
@@ -394,9 +398,6 @@ fn chaos_check_writes_a_crash_report_and_crash_show_renders_it() {
             r,
             seminal_obs::TraceRecord::Event {
                 kind: seminal_obs::EventKind::OracleProbe { faulted: true, .. },
-                ..
-            } | seminal_obs::TraceRecord::Event {
-                kind: seminal_obs::EventKind::SpeculativeProbe { faulted: true, .. },
                 ..
             }
         )),

@@ -20,15 +20,10 @@ const SAMPLES: &[&str] = &["samples/figure2.ml", "samples/figure8.ml", "samples/
 
 fn run(source: &str, incremental: bool) -> SearchReport {
     let prog = parse_program(source).expect("sample parses");
-    let config = SearchConfig {
-        deadline: None,
-        incremental_oracle: incremental,
-        ..SearchConfig::default()
-    };
+    let config =
+        SearchConfig { deadline: None, incremental_oracle: incremental, ..SearchConfig::default() };
     SearchSession::builder(CheckpointedOracle::with_enabled(incremental))
         .config(config)
-        .threads(1)
-        .memoize(true)
         .build()
         .expect("config is valid")
         .search(&prog)

@@ -1,6 +1,11 @@
 //! Tracing-overhead bench: the cost of the observability layer on the
 //! Figure-5 bench set, in five configurations.
 //!
+//! Every search runs over a fresh `CheckpointedOracle`, the incremental
+//! oracle `seminal serve` builds per request, so the overhead is
+//! measured against the oracle cost users actually pay (a chain seeded
+//! by another program would fall back to scratch checks).
+//!
 //! * `tracing_disabled` — the bare searcher: no sinks, no capture, and
 //!   the flight recorder explicitly off. The tracer is inert (no clock
 //!   reads, no allocation for targets); only the always-on metric
@@ -24,14 +29,37 @@ use seminal_core::{SearchConfig, SearchSession};
 use seminal_ml::ast::Program;
 use seminal_ml::parser::parse_program;
 use seminal_obs::{JsonlSink, NullSink, TraceSink};
-use seminal_typeck::TypeCheckOracle;
+use seminal_typeck::CheckpointedOracle;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// One measured configuration: the search settings plus an optional
+/// extra sink.
+struct Setup {
+    config: SearchConfig,
+    sink: Option<Arc<dyn TraceSink>>,
+}
+
+impl Setup {
+    fn new(config: SearchConfig, sink: Option<Arc<dyn TraceSink>>) -> Setup {
+        Setup { config, sink }
+    }
+
+    /// Searches `prog` on a session built around a fresh oracle.
+    fn search(&self, prog: &Program) -> u64 {
+        let mut builder =
+            SearchSession::builder(CheckpointedOracle::new()).config(self.config.clone());
+        if let Some(sink) = &self.sink {
+            builder = builder.sink(Arc::clone(sink));
+        }
+        builder.build().unwrap().search(prog).stats.oracle_calls
+    }
+}
+
 /// Mean nanoseconds per corpus sweep over `iters` timed runs (after one
 /// warmup sweep).
-fn measure(iters: u32, progs: &[Program], searcher: &SearchSession<TypeCheckOracle>) -> u64 {
-    let sweep = || progs.iter().map(|p| searcher.search(p).stats.oracle_calls).sum::<u64>();
+fn measure(iters: u32, progs: &[Program], setup: &Setup) -> u64 {
+    let sweep = || progs.iter().map(|p| setup.search(p)).sum::<u64>();
     std::hint::black_box(sweep());
     let start = Instant::now();
     for _ in 0..iters {
@@ -46,32 +74,13 @@ fn main() {
     assert!(!progs.is_empty());
     let iters = 5;
 
-    let disabled =
-        SearchSession::builder(TypeCheckOracle::new()).flight_recorder(false).build().unwrap();
-
+    let recorder_off = SearchConfig { flight_recorder: false, ..SearchConfig::default() };
+    let disabled = Setup::new(recorder_off.clone(), None);
     // The out-of-the-box default: flight recorder on, nothing else.
-    let flight = SearchSession::builder(TypeCheckOracle::new()).build().unwrap();
-
-    let null_sink = SearchSession::builder(TypeCheckOracle::new())
-        .flight_recorder(false)
-        .sink(Arc::new(NullSink) as Arc<dyn TraceSink>)
-        .build()
-        .unwrap();
-
-    let capture = SearchSession::builder(TypeCheckOracle::new())
-        .config(SearchConfig {
-            collect_trace: true,
-            flight_recorder: false,
-            ..SearchConfig::default()
-        })
-        .build()
-        .unwrap();
-
-    let jsonl = SearchSession::builder(TypeCheckOracle::new())
-        .flight_recorder(false)
-        .sink(Arc::new(JsonlSink::new(std::io::sink())) as Arc<dyn TraceSink>)
-        .build()
-        .unwrap();
+    let flight = Setup::new(SearchConfig::default(), None);
+    let null_sink = Setup::new(recorder_off.clone(), Some(Arc::new(NullSink)));
+    let capture = Setup::new(SearchConfig { collect_trace: true, ..recorder_off.clone() }, None);
+    let jsonl = Setup::new(recorder_off, Some(Arc::new(JsonlSink::new(std::io::sink()))));
 
     println!("== obs_overhead ({} files, {iters} sweeps each) ==", progs.len());
     // One discarded sweep so the first measured configuration does not
@@ -79,13 +88,13 @@ fn main() {
     std::hint::black_box(measure(1, &progs, &disabled));
     let base_ns = measure(iters, &progs, &disabled);
     println!("tracing_disabled   mean {:>12} ns/sweep   (reference)", base_ns);
-    for (name, searcher) in [
+    for (name, setup) in [
         ("flight_ring", &flight),
         ("null_sink", &null_sink),
         ("memory_capture", &capture),
         ("jsonl_stream", &jsonl),
     ] {
-        let ns = measure(iters, &progs, searcher);
+        let ns = measure(iters, &progs, setup);
         let overhead_milli = (ns.saturating_sub(base_ns)) * 1000 / base_ns.max(1);
         println!(
             "{name:<18} mean {ns:>12} ns/sweep   (+{}.{}%)",
@@ -95,8 +104,8 @@ fn main() {
     }
 
     if std::env::var_os("OBS_OVERHEAD_ASSERT").is_some() {
-        for (name, searcher) in [("null_sink", &null_sink), ("flight_ring", &flight)] {
-            let ns = measure(iters, &progs, searcher);
+        for (name, setup) in [("null_sink", &null_sink), ("flight_ring", &flight)] {
+            let ns = measure(iters, &progs, setup);
             assert!(
                 ns.saturating_sub(base_ns) * 50 <= base_ns,
                 "{name} tracing overhead above 2%: {ns} vs {base_ns} ns/sweep"

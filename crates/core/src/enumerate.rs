@@ -31,7 +31,7 @@ fn one(replacement: Expr, description: impl Into<String>) -> Probe {
 pub fn changes_for(e: &Expr, top_of_chain: bool, cfg: &SearchConfig) -> Vec<Probe> {
     let mut out = Vec::new();
     match &e.kind {
-        ExprKind::App(_, _) if top_of_chain => app_changes(e, cfg, &mut out),
+        ExprKind::App(_, _) if top_of_chain => app_changes(e, &mut out),
         ExprKind::App(_, _) => {}
         ExprKind::Fun(params, body) => fun_changes(params, body, &mut out),
         ExprKind::List(items) => {
@@ -181,7 +181,11 @@ pub fn changes_for(e: &Expr, top_of_chain: bool, cfg: &SearchConfig) -> Vec<Prob
     out
 }
 
-fn app_changes(e: &Expr, cfg: &SearchConfig, out: &mut Vec<Probe>) {
+/// Largest argument count for which full permutations are attempted
+/// (gated on the all-wildcards probe succeeding, §2.2).
+const MAX_PERMUTATION_ARGS: usize = 4;
+
+fn app_changes(e: &Expr, out: &mut Vec<Probe>) {
     let (head, args) = app_chain(e);
     let head = head.clone();
     let args: Vec<Expr> = args.into_iter().cloned().collect();
@@ -208,7 +212,7 @@ fn app_changes(e: &Expr, cfg: &SearchConfig, out: &mut Vec<Probe>) {
 
     // Reorder arguments (row 3) — gated behind the all-wildcards probe so
     // the n! variants cost nothing unless some argument shape fits.
-    if n >= 2 && n <= cfg.max_permutation_args {
+    if (2..=MAX_PERMUTATION_ARGS).contains(&n) {
         let gate = build_app(head.clone(), vec![hole(); n]);
         let mut perms = Vec::new();
         permute(&args, &mut Vec::new(), &mut vec![false; n], &mut perms);

@@ -54,7 +54,7 @@ pub mod session;
 
 pub use budget::{Budget, SearchHandle, StopReason};
 pub use change::{Candidate, ChangeKind, Focus, Probe, Suggestion};
-pub use config::{ConfigError, SearchConfig, SearchConfigBuilder};
+pub use config::{ConfigError, SearchConfig};
 pub use memo::{CrossRequestMemo, SharedMemoOracle, DEFAULT_CROSS_MEMO_CAPACITY};
 pub use search::{CustomChange, Outcome, SearchReport, SearchStats};
 pub use session::{SearchSession, SearchSessionBuilder};

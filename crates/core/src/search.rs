@@ -41,8 +41,8 @@ use seminal_ml::edit::{self, app_chain, Edit};
 use seminal_ml::pretty::{decl_to_string, expr_to_string, pat_to_string};
 use seminal_ml::span::Span;
 use seminal_obs::{
-    Completion, CrashReport, EventKind, FlightRecorder, Histogram, MemorySink, MetricsSnapshot,
-    ProbeKind, SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
+    Completion, CrashReport, EventKind, Histogram, MemorySink, MetricsSnapshot, ProbeKind,
+    SpanKind, SrcSpan, TraceRecord, TraceSink, Tracer,
 };
 use seminal_typeck::{
     check_program_types, guarded_check, guarded_probe, IncrementalStats, Oracle, ProbeOutcome,
@@ -52,6 +52,24 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Cap on suggestions gathered before the search stops early.
+const MAX_SUGGESTIONS: usize = 64;
+
+/// Minimum node count for a subtree to be considered "a nontrivial
+/// number of descendants" worth triaging (§2.4).
+const TRIAGE_SIZE_THRESHOLD: usize = 6;
+
+/// Maximum nesting of triage within triage (§2.4).
+const MAX_TRIAGE_DEPTH: usize = 3;
+
+/// Records the `collect_trace` capture keeps; older ones are dropped
+/// and counted in the `trace.dropped` metric.
+const TRACE_CAPACITY: usize = 262_144;
+
+/// Records the flight recorder keeps; older ones are dropped and
+/// counted in the crash report's `records_dropped`.
+const FLIGHT_CAPACITY: usize = 1024;
 
 /// Cost and coverage counters for one search.
 #[derive(Debug, Clone, Default)]
@@ -221,23 +239,11 @@ impl<O: Oracle> SearchCore<O> {
             .map(|d| d.saturating_sub(self.config.admission_lag))
             .map(|d| if d.is_zero() { Duration::from_nanos(1) } else { d });
         let budget = Budget::start(self.config.max_oracle_calls, deadline, self.handle.flag());
-        let capture = if self.config.collect_trace {
-            Some(Arc::new(MemorySink::new(self.config.trace_capacity)))
-        } else {
-            None
-        };
-        let flight = if self.config.flight_recorder {
-            Some(Arc::new(FlightRecorder::new(self.config.flight_capacity)))
-        } else {
-            None
-        };
+        let ring = |on: bool, capacity| on.then(|| Arc::new(MemorySink::new(capacity)));
+        let capture = ring(self.config.collect_trace, TRACE_CAPACITY);
+        let flight = ring(self.config.flight_recorder, FLIGHT_CAPACITY);
         let mut sinks = self.sinks.clone();
-        if let Some(c) = &capture {
-            sinks.push(c.clone() as Arc<dyn TraceSink>);
-        }
-        if let Some(f) = &flight {
-            sinks.push(f.clone() as Arc<dyn TraceSink>);
-        }
+        sinks.extend(capture.iter().chain(&flight).map(|r| r.clone() as Arc<dyn TraceSink>));
         let tracer = Tracer::new(sinks);
         self.run_search(prog, budget, tracer, capture, flight)
     }
@@ -248,7 +254,7 @@ impl<O: Oracle> SearchCore<O> {
         budget: Budget,
         tracer: Tracer,
         capture: Option<Arc<MemorySink>>,
-        flight: Option<Arc<FlightRecorder>>,
+        flight: Option<Arc<MemorySink>>,
     ) -> SearchReport {
         let start = Instant::now();
         let inc_before = self.oracle.incremental_stats();
@@ -399,7 +405,6 @@ impl<O: Oracle> SearchCore<O> {
         // freeze into a crash report the caller can persist.
         let crash = match &flight {
             Some(f) if !completion.is_complete() || stats.probe_faults > 0 => {
-                let (records, records_dropped) = f.snapshot();
                 let reason = if completion.is_complete() {
                     format!("{} isolated probe fault(s)", stats.probe_faults)
                 } else {
@@ -410,8 +415,8 @@ impl<O: Oracle> SearchCore<O> {
                     completion: completion.tag().to_owned(),
                     probe_faults: stats.probe_faults,
                     threads: 1,
-                    records_dropped,
-                    records,
+                    records_dropped: f.dropped(),
+                    records: f.records(),
                     metrics: metrics.clone(),
                 })
             }
@@ -713,7 +718,7 @@ impl<O: Oracle> Run<'_, O> {
     }
 
     fn done(&self) -> bool {
-        self.stop.is_some() || self.suggestions.len() >= self.cfg.max_suggestions
+        self.stop.is_some() || self.suggestions.len() >= MAX_SUGGESTIONS
     }
 
     /// Quantized blame score for a suggestion at `span` (0 with guidance
@@ -886,8 +891,8 @@ impl<O: Oracle> Run<'_, O> {
         if self.cfg.triage
             && !any_child
             && !any_specific
-            && node.size() >= self.cfg.triage_size_threshold
-            && triage_depth < self.cfg.max_triage_depth
+            && node.size() >= TRIAGE_SIZE_THRESHOLD
+            && triage_depth < MAX_TRIAGE_DEPTH
         {
             let before = self.suggestions.len();
             self.triage(scope, node, triage_depth);
@@ -932,7 +937,7 @@ impl<O: Oracle> Run<'_, O> {
         !triaged
             && triage_depth == 0
             && !node.span.is_empty()
-            && node.size() < self.cfg.triage_size_threshold
+            && node.size() < TRIAGE_SIZE_THRESHOLD
             && !matches!(node.kind, ExprKind::Var(_))
             && guidance.is_zero_blame(node.span)
     }

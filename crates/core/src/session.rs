@@ -20,12 +20,12 @@
 //! ```
 //!
 //! The builder validates at [`SearchSessionBuilder::build`] (typed
-//! [`ConfigError`]s, no panics), and the C++ front end mirrors the same
-//! shape (`seminal_cpp::CppSearchSession::builder`), so ML and C++
-//! callers read identically.
+//! [`ConfigError`]s, no panics). The C++ front end's
+//! `seminal_cpp::CppSearchSession::builder` reads the same way, plus a
+//! `threads(n)` setter the sequential ML search has no counterpart for.
 
 use crate::budget::SearchHandle;
-use crate::config::{ConfigError, SearchConfig, SearchConfigBuilder};
+use crate::config::{ConfigError, SearchConfig};
 use crate::search::{CustomChange, SearchCore, SearchReport};
 use seminal_ml::ast::Program;
 use seminal_obs::TraceSink;
@@ -106,16 +106,6 @@ impl<O: Oracle> SearchSessionBuilder<O> {
         self
     }
 
-    /// Edits the configuration through the validating
-    /// [`SearchConfigBuilder`] (validation still happens at build).
-    #[must_use]
-    pub fn configure(mut self, f: impl FnOnce(SearchConfigBuilder) -> SearchConfigBuilder) -> Self {
-        let builder = SearchConfigBuilder::from_config(self.config);
-        // Defer validation to `build` so errors surface in one place.
-        self.config = f(builder).build_unchecked();
-        self
-    }
-
     /// Wall-clock deadline per search (`None` = unbounded; validated
     /// non-zero at build). When it expires the search stops
     /// cooperatively and reports `Completion::DeadlineExpired`.
@@ -154,14 +144,6 @@ impl<O: Oracle> SearchSessionBuilder<O> {
     #[must_use]
     pub fn flight_recorder(mut self, on: bool) -> Self {
         self.config.flight_recorder = on;
-        self
-    }
-
-    /// Flight-recorder ring capacity in records (validated `>= 1` at
-    /// build when the recorder is on).
-    #[must_use]
-    pub fn flight_capacity(mut self, records: usize) -> Self {
-        self.config.flight_capacity = records;
         self
     }
 
@@ -217,20 +199,21 @@ mod tests {
         assert_eq!(session.config().deadline, Some(Duration::from_millis(50)));
         assert!(session.config().collect_trace);
 
-        let err = SearchSession::builder(TypeCheckOracle::new()).flight_capacity(0).build();
-        assert!(matches!(err, Err(ConfigError::ZeroFlightCapacity)));
+        let err = SearchSession::builder(TypeCheckOracle::new())
+            .config(SearchConfig { max_oracle_calls: 0, ..SearchConfig::default() })
+            .build();
+        assert!(matches!(err, Err(ConfigError::ZeroOracleBudget)));
     }
 
     #[test]
     fn borrowed_oracle_and_preset_config_work() {
         let oracle = TypeCheckOracle::new();
         let session = SearchSession::builder(&oracle)
-            .config(SearchConfig::without_triage())
-            .configure(|c| c.max_suggestions(8))
+            .config(SearchConfig { max_oracle_calls: 8, ..SearchConfig::without_triage() })
             .build()
             .unwrap();
         assert!(!session.config().triage);
-        assert_eq!(session.config().max_suggestions, 8);
+        assert_eq!(session.config().max_oracle_calls, 8);
         let prog = parse_program("let x = 1 + true").unwrap();
         assert!(session.search(&prog).best().is_some());
     }

@@ -460,3 +460,23 @@ fn trace_off_by_default() {
     let report = search(FIGURE2);
     assert!(report.records.is_empty());
 }
+
+#[test]
+fn crash_report_keeps_the_last_1024_records_of_the_trace() {
+    // A wide list with several bad elements sends the search into
+    // triage, where 1,000 calls emit well over the flight recorder's
+    // 1,024 records before the budget stops the run.
+    let elems: Vec<String> = (0..200)
+        .map(|i| if i % 40 == 17 { format!("scale \"bad{i}\"") } else { format!("scale {i}") })
+        .collect();
+    let src = format!("let scale x = x * 2\nlet bulk = [{}]\n", elems.join("; "));
+    let cfg =
+        SearchConfig { collect_trace: true, max_oracle_calls: 1_000, ..SearchConfig::default() };
+    let report = search_cfg(&src, cfg);
+    assert_eq!(report.completion, seminal_core::obs::Completion::BudgetExhausted);
+    assert!(report.records.len() > 1024, "only {} records", report.records.len());
+    let crash = report.crash.as_ref().expect("a budget-stopped run writes a crash report");
+    let tail = &report.records[report.records.len() - 1024..];
+    assert_eq!(crash.records, tail);
+    assert_eq!(crash.records_dropped, report.records.len() as u64 - 1024);
+}

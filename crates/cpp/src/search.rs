@@ -269,9 +269,10 @@ impl CppChaos {
     }
 }
 
-/// The C++ search pipeline, mirroring the ML side's
-/// `SearchSession::builder(...).threads(n).sink(s).build()` shape (the
-/// checker is built in, so no oracle argument).
+/// The C++ search pipeline, built like the ML side's
+/// `SearchSession::builder(..).sink(s).build()` (the checker is built
+/// in, so no oracle argument). Unlike an ML search it can probe in
+/// parallel: `threads(n)` exists only here.
 pub struct CppSearchSession {
     threads: usize,
     deadline: Option<Duration>,

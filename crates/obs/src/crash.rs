@@ -5,10 +5,10 @@
 //! or degraded search after the fact: why it was written (`reason`),
 //! how the search completed, how many probes faulted, the final
 //! metrics snapshot, and the tail of the trace stream preserved by the
-//! [`crate::flight::FlightRecorder`]. The JSON encoding carries the
-//! [`SCHEMA`] tag and the decoder rejects unknown fields, mirroring the
-//! metrics-snapshot contract, so `seminal crash show` either replays an
-//! artifact exactly or fails loudly.
+//! flight recorder (a [`crate::MemorySink`] ring). The JSON encoding
+//! carries the [`SCHEMA`] tag and the decoder rejects unknown fields,
+//! mirroring the metrics-snapshot contract, so `seminal crash show`
+//! either replays an artifact exactly or fails loudly.
 //!
 //! The record tail is a *ring*: its oldest spans may have had their
 //! `Open` records overwritten, so consumers must not expect the tail to

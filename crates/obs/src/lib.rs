@@ -8,12 +8,11 @@
 //! * [`trace`] — hierarchical structured tracing: typed span/event
 //!   records with parent/child nesting and monotonic timestamps, behind
 //!   a pluggable [`TraceSink`] (in-memory ring buffer, JSONL writer,
-//!   null);
+//!   null). The same [`MemorySink`] ring serves as the searcher's
+//!   always-on flight recorder of the most recent records;
 //! * [`metrics`] — counters and power-of-two latency histograms with a
 //!   stable, schema-versioned JSON snapshot
 //!   ([`metrics::SCHEMA`]) whose decoder rejects unknown fields;
-//! * [`flight`] — the always-on flight recorder: a lock-cheap
-//!   fixed-capacity ring of the most recent trace records;
 //! * [`crash`] — versioned crash reports bundling the flight-recorder
 //!   tail with the final metrics snapshot for post-mortem replay;
 //! * [`chrome`] — renders a captured trace as a Chrome `trace_event`
@@ -37,7 +36,6 @@ pub mod baseline;
 pub mod chrome;
 pub mod completion;
 pub mod crash;
-pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod profile;
@@ -47,7 +45,6 @@ pub use baseline::{extract_snapshot, regressions, Tolerance};
 pub use chrome::chrome_trace;
 pub use completion::Completion;
 pub use crash::CrashReport;
-pub use flight::FlightRecorder;
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{keys, Histogram, MetricsSnapshot, SCHEMA};
 pub use profile::{profile, render as render_profile, ProfileNode, SpanProfile};

@@ -9,7 +9,8 @@
 //! [`TraceSink`]:
 //!
 //! * [`MemorySink`] — bounded in-memory ring buffer (what powers the
-//!   report's captured record stream and the CLI's `--trace`/`--profile`);
+//!   report's captured record stream, the CLI's `--trace`/`--profile`,
+//!   and the flight recorder whose tail goes into crash reports);
 //! * [`JsonlSink`] — one JSON document per record, for offline analysis;
 //! * [`NullSink`] — swallows everything (useful as an explicit default).
 //!
@@ -910,6 +911,57 @@ mod tests {
         assert_eq!(kept.len(), 2);
         assert_eq!(kept[0], TraceRecord::Close { id: 3, thread: 0, at_ns: 3 });
         assert_eq!(kept[1], TraceRecord::Close { id: 4, thread: 0, at_ns: 4 });
+    }
+
+    #[test]
+    fn memory_sink_keeps_the_most_recent_records_oldest_first() {
+        let sink = MemorySink::new(3);
+        assert!(sink.records().is_empty());
+        assert_eq!(sink.dropped(), 0);
+        for i in 0..5u64 {
+            sink.record(&close(i, 0, i));
+        }
+        assert_eq!(sink.records(), vec![close(2, 0, 2), close(3, 0, 3), close(4, 0, 4)]);
+        assert_eq!(sink.dropped(), 2);
+        assert_eq!(sink.records().len(), 3, "`records` leaves the ring intact");
+    }
+
+    #[test]
+    fn memory_sink_partial_fill_reads_a_plain_prefix() {
+        let sink = MemorySink::new(8);
+        sink.record(&close(1, 0, 1));
+        sink.record(&close(2, 0, 2));
+        assert_eq!(sink.records(), vec![close(1, 0, 1), close(2, 0, 2)]);
+        assert_eq!(sink.records().len(), 2, "`records` leaves the ring intact");
+        assert_eq!(sink.dropped(), 0);
+        assert_eq!(sink.drain().len(), 2);
+        assert!(sink.records().is_empty(), "`drain` empties it");
+    }
+
+    #[test]
+    fn memory_sink_clamps_zero_capacity() {
+        let sink = MemorySink::new(0);
+        sink.record(&close(1, 0, 1));
+        sink.record(&close(2, 0, 2));
+        assert_eq!(sink.records(), vec![close(2, 0, 2)]);
+        assert_eq!(sink.dropped(), 1);
+    }
+
+    #[test]
+    fn memory_sink_counts_records_from_many_threads() {
+        let sink = MemorySink::new(20);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let sink = &sink;
+                scope.spawn(move || {
+                    for i in 0..8 {
+                        sink.record(&close(u64::from(t) * 100 + i, t, i));
+                    }
+                });
+            }
+        });
+        assert_eq!(sink.records().len(), 20);
+        assert_eq!(sink.dropped(), 12, "every one of the 32 writes is kept or counted");
     }
 
     #[test]

@@ -38,9 +38,10 @@ use seminal_obs::{parse_json, Json, SpanKind, TraceSink, Tracer};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Default concurrent-connection cap (`--max-connections`).
@@ -236,21 +237,13 @@ impl ConnRegistry {
         self.conns.lock().expect("connection registry poisoned").len()
     }
 
-    /// Registers `stream` under `id`; `false` when the socket handle
-    /// cannot be duplicated (the connection is then dropped).
-    fn register(&self, id: u64, stream: &TcpStream) -> bool {
-        match stream.try_clone() {
-            Ok(handle) => {
-                self.conns.lock().expect("connection registry poisoned").insert(id, handle);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn deregister(&self, id: u64) {
-        self.conns.lock().expect("connection registry poisoned").remove(&id);
-        self.changed.notify_all();
+    /// Registers `stream` under `id`, returning the slot guard that
+    /// frees it; `None` when the socket handle cannot be duplicated
+    /// (the connection is then dropped).
+    fn register(&self, id: u64, stream: &TcpStream) -> Option<ConnSlot<'_>> {
+        let handle = stream.try_clone().ok()?;
+        self.conns.lock().expect("connection registry poisoned").insert(id, handle);
+        Some(ConnSlot { registry: self, id })
     }
 
     /// The graceful drain: wait up to `limit` for every connection to
@@ -284,6 +277,24 @@ impl ConnRegistry {
             conns = next;
         }
         started.elapsed()
+    }
+}
+
+/// One connection's place in the [`ConnRegistry`]. Dropping it — on
+/// return or while a panic unwinds — removes the entry and wakes the
+/// drain, so a failed connection thread never keeps its
+/// `--max-connections` slot.
+struct ConnSlot<'a> {
+    registry: &'a ConnRegistry,
+    id: u64,
+}
+
+impl Drop for ConnSlot<'_> {
+    fn drop(&mut self) {
+        // The lock is never held across a panic point, but a poisoned
+        // map must still release the slot rather than abort the unwind.
+        self.registry.conns.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.id);
+        self.registry.changed.notify_all();
     }
 }
 
@@ -329,20 +340,25 @@ pub fn serve_tcp(
             }
             let id = next_id;
             next_id += 1;
-            if !registry.register(id, &stream) {
-                continue;
-            }
-            let (stop, registry, options) = (&stop, &registry, options.clone());
+            let Some(slot) = registry.register(id, &stream) else { continue };
+            let (stop, options) = (&stop, options.clone());
             scope.spawn(move || {
-                match serve_connection(state, &options, stop, stream) {
-                    Ok(summary) if summary.shutdown => {
+                let _slot = slot;
+                // A panic costs this connection only: it must neither
+                // leak the slot nor re-panic out of the scope at
+                // shutdown.
+                let served = catch_unwind(AssertUnwindSafe(|| {
+                    serve_connection(state, &options, stop, stream)
+                }));
+                match served {
+                    Ok(Ok(summary)) if summary.shutdown => {
                         stop.store(true, Ordering::SeqCst);
                         wake_acceptor(listener);
                     }
-                    Ok(_) => {}
-                    Err(e) => eprintln!("connection error: {e}"),
+                    Ok(Ok(_)) => {}
+                    Ok(Err(e)) => eprintln!("connection error: {e}"),
+                    Err(_) => eprintln!("connection {id} panicked"),
                 }
-                registry.deregister(id);
             });
         }
         state.note_drain(registry.drain(Duration::from_millis(options.drain_ms)));
@@ -662,6 +678,20 @@ mod tests {
     fn overloaded_line(id: u64, retry_after_ms: u64) -> String {
         Response::Overloaded(OverloadedResponse { id, status: Status::Overloaded, retry_after_ms })
             .to_json_string()
+    }
+
+    #[test]
+    fn a_panicking_connection_frees_its_slot() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let registry = ConnRegistry::default();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = registry.register(7, &stream).expect("socket handle duplicates");
+            assert_eq!(registry.count(), 1);
+            panic!("connection handler fault");
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(registry.count(), 0, "the unwinding slot guard released the slot");
     }
 
     /// Satellite: a server that dies mid-session must produce a

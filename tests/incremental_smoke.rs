@@ -20,8 +20,7 @@ const SAMPLES: &[&str] = &["samples/figure2.ml", "samples/figure8.ml", "samples/
 
 fn run(source: &str, incremental: bool) -> SearchReport {
     let prog = parse_program(source).expect("sample parses");
-    let config =
-        SearchConfig { deadline: None, incremental_oracle: incremental, ..SearchConfig::default() };
+    let config = SearchConfig { deadline: None, ..SearchConfig::default() };
     SearchSession::builder(CheckpointedOracle::with_enabled(incremental))
         .config(config)
         .build()

@@ -21,8 +21,7 @@
 //!
 //! The builder validates at [`SearchSessionBuilder::build`] (typed
 //! [`ConfigError`]s, no panics). The C++ front end's
-//! `seminal_cpp::CppSearchSession::builder` reads the same way, plus a
-//! `threads(n)` setter the sequential ML search has no counterpart for.
+//! `seminal_cpp::CppSearchSession::builder` reads the same way.
 
 use crate::budget::SearchHandle;
 use crate::config::{ConfigError, SearchConfig};

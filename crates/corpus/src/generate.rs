@@ -98,7 +98,7 @@ pub fn generate(cfg: &CorpusConfig) -> Vec<CorpusFile> {
             }
             let cell_seed = cfg
                 .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_mul(seminal_obs::SPLITMIX64_GAMMA)
                 .wrapping_add((programmer as u64) << 32 | (assignment as u64));
             let mut rng = SplitMix64::seed_from_u64(cell_seed);
             let mut made = 0;

@@ -19,10 +19,11 @@
 //! Unlike the Caml searcher's verdict-driven recursion, the C++ search
 //! is a *flat* enumeration: every candidate change is known up front
 //! and no probe depends on another's verdict. The search therefore runs
-//! in three phases — collect every [`PendingProbe`], evaluate them (in
-//! parallel when [`CppSearchSession`] is built with `threads > 1`),
-//! then fold verdicts back **in enumeration order** — so the report is
-//! identical at any thread count.
+//! in three phases — collect every [`PendingProbe`], evaluate them on
+//! one scoped worker per available core (capped at the frontier's
+//! size; the count comes from the machine, not from the caller), then
+//! fold verdicts back **in enumeration order** — so the report is
+//! identical at any worker count.
 
 use crate::ast::*;
 use crate::check::{check, CppError};
@@ -34,9 +35,10 @@ use seminal_obs::{
 };
 use std::collections::HashSet;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The class of a C++ suggestion, ranked in this order.
@@ -122,7 +124,7 @@ impl CppReport {
     /// The user-visible payload: every suggestion in rank order with the
     /// fields its quick-fix line renders from plus the residual error
     /// counts — the unit of comparison for the differential fuzz loop's
-    /// thread-identity oracle (mirrors the Caml report's `payload`).
+    /// repeat-identity oracle (mirrors the Caml report's `payload`).
     pub fn payload(&self) -> Vec<(String, String, usize, usize)> {
         self.suggestions
             .iter()
@@ -219,8 +221,6 @@ impl ProbeCtx<'_> {
 /// A rejected [`CppSearchSession`] configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CppConfigError {
-    /// `threads` must be at least 1 (1 = the sequential search).
-    ZeroThreads,
     /// `deadline` must be a positive duration when set.
     ZeroDeadline,
 }
@@ -228,7 +228,6 @@ pub enum CppConfigError {
 impl fmt::Display for CppConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CppConfigError::ZeroThreads => write!(f, "`threads` must be >= 1 (1 = sequential)"),
             CppConfigError::ZeroDeadline => {
                 write!(f, "`deadline` must be a positive duration when set")
             }
@@ -245,7 +244,7 @@ impl std::error::Error for CppConfigError {}
 /// panics when its seeded draw lands under `panic_per_mille`. The
 /// decision is a pure function of `(seed, index)` — the enumeration
 /// order is fixed before any verdict exists — so the injected fault set
-/// is identical at every thread count.
+/// is identical at every worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CppChaos {
     /// Mixed into every draw; two seeds give independent fault sets.
@@ -257,24 +256,20 @@ pub struct CppChaos {
 impl CppChaos {
     /// Whether probe `index` is chosen to panic under this seed.
     pub fn would_panic(&self, index: usize) -> bool {
-        // SplitMix64 finalizer over the seeded index: cheap, stateless,
-        // and well-mixed for consecutive indices.
-        let mut z = self
-            .seed
-            .wrapping_add((index as u64).wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        z % 1000 < u64::from(self.panic_per_mille)
+        // The index-th output of the SplitMix64 stream seeded with
+        // `seed`, computed directly: stateless and well-mixed for
+        // consecutive indices.
+        let mut state =
+            self.seed.wrapping_add((index as u64).wrapping_mul(seminal_obs::SPLITMIX64_GAMMA));
+        seminal_obs::splitmix64(&mut state) % 1000 < u64::from(self.panic_per_mille)
     }
 }
 
 /// The C++ search pipeline, built like the ML side's
 /// `SearchSession::builder(..).sink(s).build()` (the checker is built
-/// in, so no oracle argument). Unlike an ML search it can probe in
-/// parallel: `threads(n)` exists only here.
+/// in, so no oracle argument). Unlike an ML search it probes in
+/// parallel, on as many workers as the machine has cores.
 pub struct CppSearchSession {
-    threads: usize,
     deadline: Option<Duration>,
     chaos: Option<CppChaos>,
     sinks: Vec<Arc<dyn TraceSink>>,
@@ -283,7 +278,6 @@ pub struct CppSearchSession {
 impl fmt::Debug for CppSearchSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CppSearchSession")
-            .field("threads", &self.threads)
             .field("deadline", &self.deadline)
             .field("chaos", &self.chaos)
             .field("sinks", &self.sinks.len())
@@ -292,31 +286,19 @@ impl fmt::Debug for CppSearchSession {
 }
 
 impl CppSearchSession {
-    /// Starts a builder with the sequential default (or the
-    /// `SEMINAL_THREADS` environment default, like the ML engine).
+    /// Starts a builder: no deadline, no chaos, no sinks.
     pub fn builder() -> CppSearchSessionBuilder {
-        CppSearchSessionBuilder {
-            threads: default_threads(),
-            deadline: None,
-            chaos: None,
-            sinks: Vec::new(),
-        }
-    }
-
-    /// Configured probe parallelism.
-    pub fn threads(&self) -> usize {
-        self.threads
+        CppSearchSessionBuilder { deadline: None, chaos: None, sinks: Vec::new() }
     }
 
     /// Runs the C++ search on `prog`.
     pub fn search(&self, prog: &CProgram) -> CppReport {
-        search_cpp_impl(prog, self.threads, self.deadline, self.chaos, &self.sinks)
+        search_cpp_impl(prog, machine_workers(), self.deadline, self.chaos, &self.sinks)
     }
 }
 
 /// Fluent constructor for [`CppSearchSession`].
 pub struct CppSearchSessionBuilder {
-    threads: usize,
     deadline: Option<Duration>,
     chaos: Option<CppChaos>,
     sinks: Vec<Arc<dyn TraceSink>>,
@@ -325,7 +307,6 @@ pub struct CppSearchSessionBuilder {
 impl fmt::Debug for CppSearchSessionBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CppSearchSessionBuilder")
-            .field("threads", &self.threads)
             .field("deadline", &self.deadline)
             .field("chaos", &self.chaos)
             .field("sinks", &self.sinks.len())
@@ -334,13 +315,6 @@ impl fmt::Debug for CppSearchSessionBuilder {
 }
 
 impl CppSearchSessionBuilder {
-    /// Worker threads for probe evaluation (validated `>= 1` at build).
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
     /// Wall-clock deadline per search (`None` = unbounded; validated
     /// non-zero at build). When it expires, remaining probes are skipped
     /// and the report says `Completion::DeadlineExpired` with whatever
@@ -376,54 +350,35 @@ impl CppSearchSessionBuilder {
     ///
     /// # Errors
     ///
-    /// [`CppConfigError::ZeroThreads`] when `threads == 0`;
     /// [`CppConfigError::ZeroDeadline`] when `deadline == Some(0)`.
     pub fn build(self) -> Result<CppSearchSession, CppConfigError> {
-        if self.threads == 0 {
-            return Err(CppConfigError::ZeroThreads);
-        }
         if self.deadline == Some(Duration::ZERO) {
             return Err(CppConfigError::ZeroDeadline);
         }
-        Ok(CppSearchSession {
-            threads: self.threads,
-            deadline: self.deadline,
-            chaos: self.chaos,
-            sinks: self.sinks,
-        })
+        Ok(CppSearchSession { deadline: self.deadline, chaos: self.chaos, sinks: self.sinks })
     }
 }
 
-/// Default thread count: `SEMINAL_THREADS` when set to a positive
-/// integer, else 1 (sequential). Read once per process.
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::env::var("SEMINAL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
+/// Probe workers: the machine's available parallelism, read once per
+/// process (1 when it cannot be determined).
+fn machine_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Runs the C++ search with the default session.
 pub fn search_cpp(prog: &CProgram) -> CppReport {
-    search_cpp_with(prog, &[])
-}
-
-/// Runs the C++ search, streaming structured trace records (one event per
-/// oracle probe under a root span) into `sinks`.
-pub fn search_cpp_with(prog: &CProgram, sinks: &[Arc<dyn TraceSink>]) -> CppReport {
-    search_cpp_impl(prog, default_threads(), None, None, sinks)
+    search_cpp_impl(prog, machine_workers(), None, None, &[])
 }
 
 /// Largest contiguous run of pending probes a worker claims at once.
 const CHUNK: usize = 8;
 
-/// Evaluates pending probes, in parallel at `threads > 1`. The returned
-/// verdicts are indexed like `pending`, so the fold consumes them in
-/// enumeration order regardless of which worker checked what.
+/// Evaluates pending probes on `workers` scoped workers (capped at the
+/// frontier's size; the calling thread is one of them), each claiming
+/// [`CHUNK`]-sized index runs. The returned verdicts are indexed like
+/// `pending`, so the fold consumes them in enumeration order regardless
+/// of which worker checked what.
 ///
 /// Fault tolerance: each check runs under `catch_unwind`, so a panicking
 /// probe yields a `faulted` verdict instead of poisoning its slot or
@@ -433,7 +388,7 @@ const CHUNK: usize = 8;
 /// normally, so nothing leaks.
 fn evaluate_probes(
     pending: &[PendingProbe],
-    threads: usize,
+    workers: usize,
     deadline: Option<Instant>,
     chaos: Option<CppChaos>,
 ) -> Vec<Option<Verdict>> {
@@ -452,40 +407,36 @@ fn evaluate_probes(
         }
     };
     let expired = || deadline.is_some_and(|d| Instant::now() >= d);
-    let workers = threads.min(pending.len());
-    if workers <= 1 {
-        return pending
-            .iter()
-            .enumerate()
-            .map(|(i, p)| if expired() { None } else { Some(check_one(i, p)) })
-            .collect();
-    }
     let slots: Vec<Mutex<Option<Verdict>>> = pending.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if expired() {
-                    return;
-                }
-                let lo = next.fetch_add(CHUNK, Ordering::Relaxed);
-                if lo >= pending.len() {
-                    return;
-                }
-                let hi = (lo + CHUNK).min(pending.len());
-                for i in lo..hi {
-                    let verdict = check_one(i, &pending[i]);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(verdict);
-                }
-            });
+    let work = || loop {
+        if expired() {
+            return;
         }
+        let lo = next.fetch_add(CHUNK, Ordering::Relaxed);
+        if lo >= pending.len() {
+            return;
+        }
+        let hi = (lo + CHUNK).min(pending.len());
+        for i in lo..hi {
+            let verdict = check_one(i, &pending[i]);
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(verdict);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(pending.len()) {
+            scope.spawn(work);
+        }
+        work();
     });
     slots.into_iter().map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner)).collect()
 }
 
+/// The search proper; `workers` is private so only this crate's tests
+/// can pin it.
 fn search_cpp_impl(
     prog: &CProgram,
-    threads: usize,
+    workers: usize,
     deadline: Option<Duration>,
     chaos: Option<CppChaos>,
     sinks: &[Arc<dyn TraceSink>],
@@ -538,7 +489,7 @@ fn search_cpp_impl(
     }
     if baseline.is_empty() {
         ctx.tracer.close(root);
-        let metrics = cpp_metrics(&ctx, 0, threads, Completion::Complete);
+        let metrics = cpp_metrics(&ctx, 0, Completion::Complete);
         return CppReport {
             suggestions: Vec::new(),
             baseline,
@@ -550,12 +501,15 @@ fn search_cpp_impl(
         };
     }
 
-    // Focus on the function containing the first error (§4.2).
+    // Focus on the function containing the first error (§4.2); an error
+    // sited outside every user function (e.g. inside the prelude) falls
+    // back to the first non-template function.
     let first_site = baseline[0].site;
     let focus = prog
         .fns
         .iter()
-        .position(|f| f.span.contains(first_site) || f.tparams.is_empty())
+        .position(|f| f.span.contains(first_site))
+        .or_else(|| prog.fns.iter().position(|f| f.tparams.is_empty()))
         .unwrap_or(0);
     let focus_fn = prog.fns[focus].clone();
 
@@ -767,8 +721,8 @@ fn search_cpp_impl(
 
     // Phase 2: evaluate the frontier (the only parallel section), then
     // Phase 3: fold verdicts back in enumeration order, so suggestions,
-    // ranks, and trace records are identical at any thread count.
-    let verdicts = evaluate_probes(&pending, threads, deadline, chaos);
+    // ranks, and trace records are identical at any worker count.
+    let verdicts = evaluate_probes(&pending, workers, deadline, chaos);
     for (probe, verdict) in pending.into_iter().zip(verdicts) {
         match verdict {
             Some(v) => ctx.fold(probe, v),
@@ -800,7 +754,7 @@ fn search_cpp_impl(
     } else {
         Completion::Complete
     };
-    let metrics = cpp_metrics(&ctx, suggestions.len() as u64, threads, completion);
+    let metrics = cpp_metrics(&ctx, suggestions.len() as u64, completion);
     CppReport {
         suggestions,
         baseline,
@@ -813,12 +767,7 @@ fn search_cpp_impl(
 }
 
 /// Folds the probe context into the stable metrics snapshot schema.
-fn cpp_metrics(
-    ctx: &ProbeCtx<'_>,
-    suggestions: u64,
-    threads: usize,
-    completion: Completion,
-) -> MetricsSnapshot {
+fn cpp_metrics(ctx: &ProbeCtx<'_>, suggestions: u64, completion: Completion) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::default();
     snap.counters.insert("oracle_calls".to_owned(), ctx.calls);
     snap.counters.insert("probe_faults".to_owned(), ctx.probe_faults);
@@ -828,9 +777,6 @@ fn cpp_metrics(
     }
     snap.counters.insert("errors_before".to_owned(), ctx.n_before as u64);
     snap.counters.insert("suggestions".to_owned(), suggestions);
-    if threads > 1 {
-        snap.counters.insert("probe_parallelism".to_owned(), threads as u64);
-    }
     for (i, &n) in ctx.probes.iter().enumerate() {
         if n > 0 {
             snap.counters.insert(format!("probes.{}", ProbeKind::METRIC_KEYS[i]), n);
@@ -840,4 +786,81 @@ fn cpp_metrics(
         snap.histograms.insert("oracle.latency_ns".to_owned(), ctx.latency.clone());
     }
     snap
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse_cpp;
+
+    const SCENARIOS: [(&str, &str); 2] = [
+        (
+            "figure10",
+            "void myFun(vector<long>& inv, vector<long>& outv) {\n\
+               transform(inv.begin(), inv.end(), outv.begin(),\n\
+                         compose1(bind1st(multiplies<long>(), 5), labs));\n\
+             }\n",
+        ),
+        (
+            "bind2nd_swap",
+            "void keep(vector<long>& v) {\n\
+               remove_if(v.begin(), v.end(), bind2nd(less<long>(), v));\n\
+             }\n",
+        ),
+    ];
+
+    /// Silences the injected `"chaos"` panics; any other panic prints.
+    fn quiet_chaos_panics() {
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let payload = info.payload();
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+                if !msg.is_some_and(|m| m.contains("chaos")) {
+                    prev(info);
+                }
+            }));
+        });
+    }
+
+    #[test]
+    fn reports_are_identical_at_one_two_and_eight_workers() {
+        quiet_chaos_panics();
+        for (name, src) in SCENARIOS {
+            let prog = parse_cpp(src).unwrap();
+            for chaos in [None, Some(CppChaos { seed: 42, panic_per_mille: 100 })] {
+                let base = search_cpp_impl(&prog, 1, None, chaos, &[]);
+                assert!(!base.suggestions.is_empty(), "{name}: no suggestions");
+                for workers in [2, 8] {
+                    let par = search_cpp_impl(&prog, workers, None, chaos, &[]);
+                    let at = format!("{name}, chaos {chaos:?}, {workers} workers");
+                    assert_eq!(base.payload(), par.payload(), "{at}: payload");
+                    assert_eq!(base.completion, par.completion, "{at}: completion");
+                    assert_eq!(base.probe_faults, par.probe_faults, "{at}: probe faults");
+                    assert_eq!(base.oracle_calls, par.oracle_calls, "{at}: oracle calls");
+                }
+            }
+            // An expired deadline skips probes but keeps the baseline.
+            for workers in [1, 2, 8] {
+                let report =
+                    search_cpp_impl(&prog, workers, Some(Duration::from_nanos(1)), None, &[]);
+                assert_eq!(report.completion, Completion::DeadlineExpired, "{name}/{workers}");
+                assert!(!report.baseline.is_empty(), "{name}/{workers}: baseline must survive");
+            }
+        }
+    }
+
+    #[test]
+    fn chaos_fault_set_is_pinned() {
+        // Probe `i` draws one SplitMix64 step from state `seed + i·γ`;
+        // the known answer keeps injected fault sets stable across
+        // refactors of the mixer.
+        let chaos = CppChaos { seed: 42, panic_per_mille: 100 };
+        let faulted: Vec<usize> = (0..100).filter(|&i| chaos.would_panic(i)).collect();
+        assert_eq!(faulted, [5, 8, 18, 19, 29, 32, 39, 50, 56, 66, 77, 91, 95]);
+    }
 }

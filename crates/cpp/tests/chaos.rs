@@ -1,40 +1,15 @@
 //! Chaos suite for the C++ front end: seeded, index-keyed panic
-//! injection into the checker must degrade the search gracefully — same
-//! payload and completion at every worker count, an honest fault count,
-//! and no faulted probe ever accepted as a fix.
+//! injection into the checker must degrade the search gracefully — an
+//! honest fault count, the same payload however many threads search at
+//! once, and no faulted probe ever accepted as a fix.
 
 use seminal_cpp::{parse_cpp, CppChaos, CppReport, CppSearchSession};
 use seminal_obs::Completion;
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
-const SCENARIOS: &[(&str, &str)] = &[
-    (
-        "figure10",
-        "#include <algorithm>\n\
-         #include <vector>\n\
-         #include <functional>\n\
-         using namespace std;\n\
-         \n\
-         void myFun(vector<long>& inv, vector<long>& outv) {\n\
-           transform(inv.begin(), inv.end(), outv.begin(),\n\
-                     compose1(bind1st(multiplies<long>(), 5), labs));\n\
-         }\n",
-    ),
-    (
-        "bind2nd_swap",
-        "#include <algorithm>\n\
-         #include <vector>\n\
-         #include <functional>\n\
-         using namespace std;\n\
-         \n\
-         void keep(vector<long>& v) {\n\
-           remove_if(v.begin(), v.end(), bind2nd(less<long>(), v));\n\
-         }\n",
-    ),
-];
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+mod common;
+use common::SCENARIOS;
 
 /// Silences the expected `"chaos"`-marked injected panics; everything
 /// else still prints. Global and installed once, as hooks are global.
@@ -56,19 +31,14 @@ fn quiet_chaos_panics() {
     });
 }
 
-fn run_chaotic(src: &str, seed: u64, threads: usize) -> CppReport {
+fn run_chaotic(src: &str, seed: u64) -> CppReport {
     quiet_chaos_panics();
     let prog = parse_cpp(src).unwrap_or_else(|e| panic!("parse: {e}"));
     CppSearchSession::builder()
-        .threads(threads)
         .chaos(CppChaos { seed, panic_per_mille: 100 })
         .build()
         .unwrap()
         .search(&prog)
-}
-
-fn payload(report: &CppReport) -> Vec<String> {
-    report.suggestions.iter().map(|s| s.render()).collect()
 }
 
 #[test]
@@ -76,7 +46,7 @@ fn chaotic_cpp_searches_finish_with_honest_fault_counts() {
     let mut faulted_somewhere = false;
     for (name, src) in SCENARIOS {
         for seed in [1, 7, 42] {
-            let report = run_chaotic(src, seed, 1);
+            let report = run_chaotic(src, seed);
             match report.completion {
                 Completion::Complete => {
                     assert_eq!(report.probe_faults, 0, "{name}/{seed}: hidden faults");
@@ -101,22 +71,23 @@ fn chaotic_cpp_searches_finish_with_honest_fault_counts() {
 #[test]
 fn chaotic_cpp_payloads_are_identical_across_thread_counts() {
     // Injection is keyed by probe index and the probe list is fixed
-    // before any verdict lands, so the same probes fault at every
-    // worker count.
+    // before any verdict lands, so the same probes fault however many
+    // searches share the machine's workers at once.
+    let key = |r: &CppReport| (r.payload(), r.completion, r.probe_faults, r.oracle_calls);
     for (name, src) in SCENARIOS {
-        let base = run_chaotic(src, 42, 1);
-        for threads in [2, 8] {
-            let par = run_chaotic(src, 42, threads);
-            assert_eq!(payload(&base), payload(&par), "{name}: payload at {threads} threads");
-            assert_eq!(base.completion, par.completion, "{name}: completion at {threads} threads");
-            assert_eq!(
-                base.probe_faults, par.probe_faults,
-                "{name}: fault count at {threads} threads"
-            );
-            assert_eq!(
-                base.oracle_calls, par.oracle_calls,
-                "{name}: call count at {threads} threads"
-            );
+        let base = key(&run_chaotic(src, 42));
+        for threads in [1, 2, 8] {
+            std::thread::scope(|scope| {
+                for caller in
+                    (0..threads).map(|_| scope.spawn(|| run_chaotic(src, 42))).collect::<Vec<_>>()
+                {
+                    let par = key(&caller.join().expect("caller thread panicked"));
+                    assert_eq!(
+                        base, par,
+                        "{name}: payload, completion, faults or calls at {threads} threads"
+                    );
+                }
+            });
         }
     }
 }
@@ -124,15 +95,9 @@ fn chaotic_cpp_payloads_are_identical_across_thread_counts() {
 #[test]
 fn faulted_cpp_probes_stay_out_of_the_latency_histogram() {
     for (name, src) in SCENARIOS {
-        for threads in THREAD_COUNTS {
-            let report = run_chaotic(src, 42, threads);
-            let observed =
-                report.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
-            assert_eq!(
-                observed, report.oracle_calls,
-                "{name} at {threads} threads: histogram must hold real checks only"
-            );
-        }
+        let report = run_chaotic(src, 42);
+        let observed = report.metrics.histograms.get("oracle.latency_ns").map_or(0, |h| h.count);
+        assert_eq!(observed, report.oracle_calls, "{name}: histogram must hold real checks only");
     }
 }
 
@@ -140,25 +105,15 @@ fn faulted_cpp_probes_stay_out_of_the_latency_histogram() {
 fn cpp_deadline_expiry_degrades_without_leaking_workers() {
     for (name, src) in SCENARIOS {
         let prog = parse_cpp(src).unwrap();
-        for threads in THREAD_COUNTS {
-            let started = Instant::now();
-            let report = CppSearchSession::builder()
-                .threads(threads)
-                .deadline(Some(Duration::from_nanos(1)))
-                .build()
-                .unwrap()
-                .search(&prog);
-            assert_eq!(
-                report.completion,
-                Completion::DeadlineExpired,
-                "{name}: a 1ns deadline must expire at {threads} threads"
-            );
-            assert!(
-                started.elapsed() < Duration::from_secs(10),
-                "{name}: workers did not stop at {threads} threads"
-            );
-            // Degraded runs still carry the baseline diagnosis.
-            assert!(!report.baseline.is_empty(), "{name}: baseline must survive expiry");
-        }
+        let started = Instant::now();
+        let report = CppSearchSession::builder()
+            .deadline(Some(Duration::from_nanos(1)))
+            .build()
+            .unwrap()
+            .search(&prog);
+        assert_eq!(report.completion, Completion::DeadlineExpired, "{name}: a 1ns deadline");
+        assert!(started.elapsed() < Duration::from_secs(10), "{name}: workers did not stop");
+        // Degraded runs still carry the baseline diagnosis.
+        assert!(!report.baseline.is_empty(), "{name}: baseline must survive expiry");
     }
 }

@@ -206,3 +206,24 @@ void myFun(vector<vector<long>>& inv, vector<vector<long>>& outv) {
         "nested {nested_len} should exceed flat {flat_len}"
     );
 }
+
+#[test]
+fn focus_is_the_function_holding_the_error_not_the_first_one() {
+    // §4.2 confines the search to the function containing the first
+    // error; a well-typed function before it must not steal the focus.
+    let src = "\
+void ok(vector<long>& v) {
+  v.push_back(3);
+}
+void bad(vector<long>& v) {
+  long x = v;
+  print_long(x);
+}
+";
+    let prog = parse_cpp(src).unwrap();
+    assert_eq!(check(&prog).len(), 1);
+    let report = search_cpp(&prog);
+    let best = report.best().expect("the error in `bad` must get a suggestion");
+    assert_eq!((best.original.as_str(), best.replacement.as_str()), ("v", "magicFun(v)"));
+    assert_eq!(best.errors_after, 0);
+}

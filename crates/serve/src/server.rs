@@ -635,8 +635,9 @@ struct Jitter(u64);
 
 impl Jitter {
     fn seeded() -> Jitter {
-        let seed =
-            SystemTime::now().duration_since(UNIX_EPOCH).map_or(0x9E37_79B9_7F4A_7C15, |d| {
+        let seed = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(seminal_obs::SPLITMIX64_GAMMA, |d| {
                 u64::from(d.subsec_nanos()) ^ d.as_secs().rotate_left(32)
             });
         Jitter(seed | 1)

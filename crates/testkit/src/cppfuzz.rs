@@ -5,10 +5,11 @@
 //! loop: every case is assembled from `(seed, index)` out of a small
 //! grammar of STL-slice calls (algorithm, iterator arguments in a
 //! drawn order, functor), some of which are well-typed (counted
-//! vacuous, skipped). The differential invariants mirror the Caml
-//! side: payload and completion identity at `threads=1` vs
-//! `threads=N`, conservation of `oracle_calls + probe_faults`, and
-//! every accepted suggestion strictly reducing the error count.
+//! vacuous, skipped). The differential pair is the same search run
+//! twice (the probes run on the machine's cores, so the two runs can
+//! schedule them differently): payload and completion identity,
+//! conservation of `oracle_calls + probe_faults`, and every accepted
+//! suggestion strictly reducing the error count.
 
 use seminal_corpus::rng::SplitMix64;
 use seminal_cpp::{parse_cpp, CppChaos, CppReport, CppSearchSession};
@@ -23,17 +24,15 @@ pub struct CppFuzzConfig {
     pub seed: u64,
     /// Number of cases.
     pub cases: u64,
-    /// Thread count of the parallel side of the differential pair.
-    pub threads: usize,
     /// Index-keyed panic injection rate (0 = off), applied with the
     /// same seed on both sides of each differential pair.
     pub chaos_panic_per_mille: u16,
 }
 
 impl CppFuzzConfig {
-    /// Standard configuration: 2-thread differential, no chaos.
+    /// Standard configuration: no chaos.
     pub fn new(seed: u64, cases: u64) -> CppFuzzConfig {
-        CppFuzzConfig { seed, cases, threads: 2, chaos_panic_per_mille: 0 }
+        CppFuzzConfig { seed, cases, chaos_panic_per_mille: 0 }
     }
 }
 
@@ -130,9 +129,9 @@ fn generate_cpp_case(seed: u64, index: u64) -> String {
     format!("void f(vector<long>& v) {{\n  {call}{second}\n}}\n")
 }
 
-fn run_session(src: &str, threads: usize, cfg: &CppFuzzConfig) -> Option<CppReport> {
+fn run_session(src: &str, cfg: &CppFuzzConfig) -> Option<CppReport> {
     let prog = parse_cpp(src).ok()?;
-    let mut builder = CppSearchSession::builder().threads(threads);
+    let mut builder = CppSearchSession::builder();
     if cfg.chaos_panic_per_mille > 0 {
         builder =
             builder.chaos(CppChaos { seed: cfg.seed, panic_per_mille: cfg.chaos_panic_per_mille });
@@ -166,11 +165,11 @@ fn run_cpp_fuzz_inner(cfg: &CppFuzzConfig) -> CppFuzzSummary {
             summary.vacuous += 1;
             continue;
         }
-        let Some(base) = run_session(&source, 1, cfg) else {
+        let Some(base) = run_session(&source, cfg) else {
             summary.parse_rejected += 1;
             continue;
         };
-        let Some(par) = run_session(&source, cfg.threads, cfg) else {
+        let Some(again) = run_session(&source, cfg) else {
             summary.parse_rejected += 1;
             continue;
         };
@@ -183,27 +182,27 @@ fn run_cpp_fuzz_inner(cfg: &CppFuzzConfig) -> CppFuzzSummary {
                 source: source.clone(),
             });
         };
-        if base.payload() != par.payload() {
+        if base.payload() != again.payload() {
             fail(
-                "thread-identity",
+                "repeat-identity",
                 format!(
-                    "payload diverged at {} threads ({} vs {} suggestions)",
-                    cfg.threads,
+                    "payload diverged on a repeat run ({} vs {} suggestions)",
                     base.suggestions.len(),
-                    par.suggestions.len()
+                    again.suggestions.len()
                 ),
             );
-        } else if base.completion != par.completion {
+        } else if base.completion != again.completion {
             fail(
-                "thread-identity",
-                format!("completion diverged: {} vs {}", base.completion, par.completion),
+                "repeat-identity",
+                format!("completion diverged: {} vs {}", base.completion, again.completion),
             );
         }
-        let (a, b) = (base.oracle_calls + base.probe_faults, par.oracle_calls + par.probe_faults);
+        let (a, b) =
+            (base.oracle_calls + base.probe_faults, again.oracle_calls + again.probe_faults);
         if a != b {
             fail("probe-accounting", format!("logical probes diverged: {a} vs {b}"));
         }
-        for report in [&base, &par] {
+        for report in [&base, &again] {
             for s in &report.suggestions {
                 if s.errors_after >= s.errors_before {
                     fail(

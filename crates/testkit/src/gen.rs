@@ -79,7 +79,7 @@ pub struct GeneratedCase {
 /// The per-case seed: the run seed mixed with the case index through the
 /// SplitMix64 increment, so consecutive cases draw independent streams.
 pub fn case_seed(seed: u64, index: u64) -> u64 {
-    seed ^ index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    seed ^ index.wrapping_add(1).wrapping_mul(seminal_obs::SPLITMIX64_GAMMA)
 }
 
 /// Generates case `index` of a run seeded with `seed`.

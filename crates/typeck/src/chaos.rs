@@ -19,6 +19,7 @@ use crate::oracle::Oracle;
 use seminal_ml::ast::Program;
 use seminal_ml::pretty::program_to_string;
 use seminal_ml::span::Span;
+use seminal_obs::splitmix64;
 use std::time::Duration;
 
 /// How much chaos to inject. Rates are per-mille (0–1000) of probes,
@@ -142,16 +143,6 @@ impl<O: Oracle> Oracle for ChaosOracle<O> {
     fn incremental_stats(&self) -> Option<crate::oracle::IncrementalStats> {
         self.inner.incremental_stats()
     }
-}
-
-/// One step of the SplitMix64 sequence (Steele–Lea–Flood), advancing
-/// `state` and returning a well-mixed 64-bit output.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn per_mille_hit(draw: u64, rate: u16) -> bool {

@@ -20,9 +20,10 @@
 //!
 //! `--deadline-ms N` bounds one search's wall clock (default honors
 //! `SEMINAL_DEADLINE_MS`): when it expires, best-so-far suggestions are
-//! still printed and the run exits with the degraded code 5. `--threads
-//! N` applies only to the C++ prototype (`cpp`, `fuzz --cpp`); Caml
-//! searches probe sequentially.
+//! still printed and the run exits with the degraded code 5. Caml
+//! searches probe sequentially; the C++ prototype (`cpp`, `fuzz --cpp`)
+//! probes on one worker per available core. No command takes a worker
+//! count.
 //!
 //! Observability flags on `check`: `--trace` (structured span/probe tree),
 //! `--trace-json PATH` (stream JSONL trace records), `--metrics-json PATH`
@@ -119,9 +120,6 @@ struct Opts {
     tolerance: Option<u64>,
     /// Time tolerance (percent) for `*_ns` values in the perf-trend gate.
     time_tolerance: Option<u64>,
-    /// Worker threads for the C++ prototype's search (`cpp`, `fuzz
-    /// --cpp`; `None` = its default, which honors `SEMINAL_THREADS`).
-    threads: Option<usize>,
     /// Wall-clock deadline per search in milliseconds (`None` = config
     /// default, which honors `SEMINAL_DEADLINE_MS`).
     deadline_ms: Option<u64>,
@@ -185,7 +183,6 @@ fn main() -> ExitCode {
         baseline: None,
         tolerance: None,
         time_tolerance: None,
-        threads: None,
         deadline_ms: None,
         seed: 42,
         cases: 200,
@@ -277,15 +274,6 @@ fn main() -> ExitCode {
             "--time-tolerance" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
                 Some(pct) => {
                     opts.time_tolerance = Some(pct);
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--threads" => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                // `0` is kept so the config builder reports the typed
-                // error; anything unparsable is a usage error here.
-                Some(n) => {
-                    opts.threads = Some(n);
                     i += 2;
                 }
                 None => return usage(),
@@ -438,7 +426,7 @@ fn main() -> ExitCode {
             },
             "--deadline-ms" => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
                 // `0` is kept so the config builder reports the typed
-                // error, matching `--threads 0`.
+                // error.
                 Some(ms) => {
                     opts.deadline_ms = Some(ms);
                     i += 2;
@@ -455,13 +443,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    let command = positional.first().copied();
-    let cpp_search = command == Some("cpp") || (command == Some("fuzz") && opts.cpp);
-    if opts.threads.is_some() && !cpp_search {
-        eprintln!("--threads applies only to the C++ prototype (`cpp`, `fuzz --cpp`)");
-        return usage();
-    }
-    match command {
+    match positional.first().copied() {
         Some("check") => match positional.get(1) {
             Some(path) => check_file(path, &opts),
             None => usage(),
@@ -506,10 +488,10 @@ fn usage() -> ExitCode {
          validate a metrics snapshot; with --baseline, also gate\n                            \
          counters and latency percentiles against a committed run\n  \
          seminal crash show <file.json>         render a crash report\n  \
-         seminal cpp [--threads N] [--deadline-ms N] <file.cpp>    C++ prototype\n  \
+         seminal cpp [--deadline-ms N] <file.cpp>    C++ prototype\n  \
          seminal fuzz [--seed S] [--cases N] [--shrink] [--out PATH]\n               \
          [--chaos-flip PM] [--chaos-panic PM] [--chaos-seed S]\n               \
-         [--no-incremental] [--cpp [--threads N]]\n                            \
+         [--no-incremental] [--cpp]\n                            \
          run the deterministic property-fuzzing harness\n  \
          seminal serve [--tcp ADDR | --connect ADDR] [--memo-capacity N]\n               \
          [--max-connections N] [--max-inflight N] [--drain-ms N]\n               \
@@ -1082,9 +1064,6 @@ fn check_cpp(path: &str, opts: &Opts) -> ExitCode {
         }
     };
     let mut builder = seminal::cpp::CppSearchSession::builder();
-    if let Some(n) = opts.threads {
-        builder = builder.threads(n);
-    }
     if let Some(ms) = opts.deadline_ms {
         builder = builder.deadline_ms(ms);
     }
@@ -1120,17 +1099,11 @@ fn check_cpp(path: &str, opts: &Opts) -> ExitCode {
 fn fuzz_cmd(opts: &Opts) -> ExitCode {
     use seminal::testkit::{run_cpp_fuzz, run_fuzz, CppFuzzConfig, FuzzConfig};
     let (rendered, ok, jsonl) = if opts.cpp {
-        let threads = opts.threads.unwrap_or(2);
-        if threads == 0 {
-            eprintln!("invalid configuration: --threads must be at least 1");
-            return ExitCode::from(EXIT_USAGE);
-        }
         if opts.chaos_flip > 0 {
             eprintln!("invalid configuration: the C++ loop has no --chaos-flip (panics only)");
             return ExitCode::from(EXIT_USAGE);
         }
         let cfg = CppFuzzConfig {
-            threads,
             chaos_panic_per_mille: opts.chaos_panic,
             ..CppFuzzConfig::new(opts.seed, opts.cases)
         };

@@ -318,13 +318,25 @@ fn fuzz_cpp_loop_runs_clean() {
 }
 
 #[test]
-fn threads_flag_is_a_usage_error_outside_the_cpp_prototype() {
+fn threads_flag_is_unknown_on_every_command() {
+    // Caml searches probe sequentially and the C++ prototype takes its
+    // worker count from the machine, so no command accepts one.
     let root = env!("CARGO_MANIFEST_DIR");
-    let sample = format!("{root}/samples/figure2.ml");
-    let check = seminal().args(["check", "--threads", "2", &sample]).output().unwrap();
-    assert_eq!(check.status.code(), Some(2), "check probes sequentially; --threads is usage");
-    let fuzz = seminal().args(["fuzz", "--cases", "1", "--threads", "2"]).output().unwrap();
-    assert_eq!(fuzz.status.code(), Some(2), "the Caml fuzz loop takes no --threads");
+    let ml = format!("{root}/samples/figure2.ml");
+    let cpp = format!("{root}/samples/figure10.cpp");
+    for args in [
+        vec!["check", "--threads", "2", &ml],
+        vec!["fuzz", "--cases", "1", "--threads", "2"],
+        vec!["cpp", "--threads", "2", &cpp],
+        vec!["fuzz", "--cpp", "--cases", "1", "--threads", "4"],
+    ] {
+        let out = seminal().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown flag `--threads`"),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]

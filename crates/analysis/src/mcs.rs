@@ -316,7 +316,7 @@ fn name_repair_subsets(prog: &Program, name: &str, span: Span) -> Vec<Correction
         let e = best.entry(cand.to_owned()).or_insert(u64::MAX);
         *e = (*e).min(d);
     };
-    for (n, _) in &stdlib_env().values {
+    for (n, _) in stdlib_env().stdlib() {
         consider(n);
     }
     for decl in &prog.decls {

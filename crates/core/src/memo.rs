@@ -19,12 +19,20 @@
 //! including `oracle.real_calls`, the number the e2e warm-cache test
 //! pins to zero for an identical second request.
 //!
+//! Each shard keeps its verdicts in a `BTreeMap`, which frees a node on
+//! removal, so the memo's footprint is bounded by its `capacity` however
+//! long it churns. A `HashMap` would not be: FIFO churn leaves
+//! tombstones, and once they use up the table's spare room hashbrown
+//! doubles the table instead of rehashing in place (a full shard holds
+//! more than half of its table's slots), so after enough churn every
+//! shard's table doubles while its entry count stays constant.
+//!
 //! Probe *faults* (inner-oracle panics) propagate uncached: a chaotic
 //! or buggy oracle must not poison verdicts for every later request.
 
 use seminal_obs::fnv1a;
 use seminal_typeck::{program_fingerprint, Oracle, TypeError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -38,7 +46,7 @@ pub const DEFAULT_CROSS_MEMO_CAPACITY: usize = 1 << 16;
 /// One shard: verdicts plus insertion order for FIFO eviction.
 #[derive(Default)]
 struct Shard {
-    verdicts: HashMap<u64, Result<(), TypeError>>,
+    verdicts: BTreeMap<u64, Result<(), TypeError>>,
     order: VecDeque<u64>,
 }
 
@@ -270,6 +278,36 @@ mod tests {
         assert_eq!(memo.evictions(), 1);
         assert!(memo.get(a).is_none(), "FIFO evicts the oldest key");
         assert!(memo.get(b).is_some());
+    }
+
+    #[test]
+    fn churn_keeps_the_newest_keys_of_each_shard() {
+        let capacity = 64;
+        let memo = CrossRequestMemo::new(capacity);
+        let shard_of = |k: u64| (fnv1a(&k.to_le_bytes()) as usize) & (SHARDS - 1);
+        let keys: Vec<u64> =
+            (0..10 * capacity as u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        for &k in &keys {
+            memo.insert(k, Ok(()));
+        }
+        let inserts = keys.len() as u64;
+        assert_eq!(memo.evictions(), inserts - memo.entries() as u64);
+        for shard in 0..SHARDS {
+            let in_shard: Vec<u64> =
+                keys.iter().copied().filter(|&k| shard_of(k) == shard).collect();
+            let first_kept = in_shard.len().saturating_sub(memo.per_shard_capacity);
+            for (i, &k) in in_shard.iter().enumerate() {
+                assert_eq!(memo.get(k).is_some(), i >= first_kept, "shard {shard} key #{i}");
+            }
+        }
+        // First writer still wins after churn.
+        let newest = *keys.last().unwrap();
+        let fault = TypeError {
+            kind: seminal_typeck::TypeErrorKind::OracleFault,
+            span: seminal_ml::span::Span::DUMMY,
+        };
+        assert!(!memo.insert(newest, Err(fault)));
+        assert!(memo.get(newest).unwrap().is_ok());
     }
 
     #[test]

@@ -52,26 +52,42 @@ impl TypeInfo {
 /// The global (per-check) environment seeded from the standard library and
 /// extended by the program's own declarations.
 ///
-/// The three name-keyed maps sit behind [`Arc`]: cloning an `Env` (the
-/// stdlib seed, or an incremental-oracle snapshot) shares them, and the
-/// rare writers — `type`/`exception` declarations — go through
-/// [`Arc::make_mut`], copy-on-write. Reads auto-deref.
+/// Cloning an `Env` (the stdlib seed, or an incremental-oracle snapshot)
+/// copies only the program's own bindings. The standard library's value
+/// bindings are one immutable slice shared by every env seeded from
+/// [`crate::stdlib::stdlib_env`], and the three name-keyed maps sit
+/// behind [`Arc`] too: the rare writers — `type`/`exception`
+/// declarations — go through [`Arc::make_mut`], copy-on-write. Reads
+/// auto-deref.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
-    /// Value bindings, innermost last; lookup scans from the end.
+    /// The standard library's value bindings. Their schemes are closed,
+    /// so generalization never looks at them; only the stdlib builder
+    /// sets this field.
+    pub(crate) stdlib: Arc<[(String, Scheme)]>,
+    /// The program's own value bindings, innermost last; they shadow the
+    /// standard library.
     pub values: Vec<(String, Scheme)>,
-    /// How many leading `values` entries come from the standard library
-    /// (those schemes are closed, so generalization can skip them).
-    pub stdlib_len: usize,
     pub ctors: Arc<HashMap<String, CtorInfo>>,
     pub fields: Arc<HashMap<String, FieldInfo>>,
     pub types: Arc<HashMap<String, TypeInfo>>,
 }
 
 impl Env {
-    /// Looks up a value binding, innermost first.
+    /// Looks up a value binding: the program's, innermost first, then the
+    /// standard library's.
     pub fn lookup(&self, name: &str) -> Option<&Scheme> {
-        self.values.iter().rev().find(|(n, _)| n == name).map(|(_, s)| s)
+        self.values
+            .iter()
+            .rev()
+            .chain(self.stdlib.iter().rev())
+            .find(|(n, _)| n == name)
+            .map(|(_, s)| s)
+    }
+
+    /// The standard library's value bindings (empty for a default env).
+    pub fn stdlib(&self) -> &[(String, Scheme)] {
+        &self.stdlib
     }
 
     /// Pushes a binding (shadowing any previous one).
@@ -84,7 +100,7 @@ impl Env {
         self.values.len()
     }
 
-    /// Pops bindings back to a [`Env::mark`].
+    /// Pops program bindings back to a [`Env::mark`].
     pub fn truncate(&mut self, mark: usize) {
         self.values.truncate(mark);
     }

@@ -378,6 +378,28 @@ mod tests {
     }
 
     #[test]
+    fn rollback_unshadows_stdlib_bindings() {
+        // `fst` shadows the stdlib's pair projection, so `b` fails.
+        let base =
+            parse_program("let fst x = x + 1\nlet a = fst 2\nlet b = fst (1, true)").unwrap();
+        // Re-checks the shadowing declaration from the initial snapshot.
+        let reshadow =
+            parse_program("let fst x = x + 2\nlet a = fst 2\nlet b = fst (1, true)").unwrap();
+        // Renames the shadowing binding, so `b` passes — but only if the
+        // rollback after `reshadow` truncated its `fst` away again.
+        let renamed =
+            parse_program("let inc x = x + 1\nlet a = inc 2\nlet b = fst (1, true)").unwrap();
+        let err = check_program(&base).unwrap_err();
+        assert!(base.decls[2].span.contains(err.span), "the shadowing `fst` is what `b` sees");
+        assert!(check_program(&renamed).is_ok());
+
+        let inc = CheckpointedOracle::new();
+        for (step, prog) in [&base, &reshadow, &renamed, &base].into_iter().enumerate() {
+            assert_eq!(inc.check(prog), check_program(prog), "step {step}");
+        }
+    }
+
+    #[test]
     fn scratch_mode_is_passthrough_with_zero_counters() {
         let prog = parse_program(SRC).unwrap();
         let inc = CheckpointedOracle::scratch();

@@ -45,8 +45,9 @@ pub fn check_program(prog: &Program) -> Result<(), TypeError> {
 /// state resumed from a snapshot continues byte-identically to a scratch
 /// run over the same prefix.
 ///
-/// Cloning is cheap for the `Env` maps (`Arc`-shared) and proportional to
-/// the variable store otherwise.
+/// A clone shares the standard library's bindings and the `Env` maps
+/// (all `Arc`), so it costs the program's own bindings plus the variable
+/// store.
 #[derive(Debug, Clone, Default)]
 pub struct InferState {
     pub(crate) uni: Unifier,
@@ -58,11 +59,7 @@ impl InferState {
     /// The state before any declaration: the standard environment and an
     /// empty variable store.
     pub fn initial() -> InferState {
-        InferState {
-            uni: Unifier::new(),
-            env: stdlib_env().clone(),
-            annot_vars: HashMap::new(),
-        }
+        InferState { uni: Unifier::new(), env: stdlib_env().clone(), annot_vars: HashMap::new() }
     }
 
     /// Checks one top-level declaration, advancing the state past it.
@@ -77,19 +74,9 @@ impl InferState {
     /// left with whatever partial bindings inference made — callers that
     /// need to reuse the state roll the unifier back via a checkpoint.
     pub fn check_decl(&mut self, d: &Decl) -> Result<(), TypeError> {
-        let mut infer = Infer {
-            uni: std::mem::take(&mut self.uni),
-            depth: 0,
-            env: std::mem::take(&mut self.env),
-            capture: HashSet::new(),
-            captured: HashMap::new(),
-            annot_vars: std::mem::take(&mut self.annot_vars),
-            recorder: None,
-        };
+        let mut infer = Infer::resume(std::mem::take(self), &[]);
         let result = infer.decl(d);
-        self.uni = infer.uni;
-        self.env = infer.env;
-        self.annot_vars = infer.annot_vars;
+        *self = InferState { uni: infer.uni, env: infer.env, annot_vars: infer.annot_vars };
         result
     }
 
@@ -158,14 +145,21 @@ struct Infer {
 type Res<T> = Result<T, TypeError>;
 
 impl Infer {
+    /// Inference over the standard environment, capturing the types of
+    /// `wanted` nodes.
     fn new(wanted: &[NodeId]) -> Infer {
+        Infer::resume(InferState::initial(), wanted)
+    }
+
+    /// Inference continuing from a declaration-boundary `state`.
+    fn resume(state: InferState, wanted: &[NodeId]) -> Infer {
         Infer {
-            uni: Unifier::new(),
+            uni: state.uni,
             depth: 0,
-            env: stdlib_env().clone(),
+            env: state.env,
             capture: wanted.iter().copied().collect(),
             captured: HashMap::new(),
-            annot_vars: HashMap::new(),
+            annot_vars: state.annot_vars,
             recorder: None,
         }
     }
@@ -372,10 +366,10 @@ impl Infer {
         if vars.is_empty() {
             return Scheme::mono(resolved);
         }
-        // Free variables of the non-stdlib environment stay monomorphic.
+        // Free variables of the program's bindings stay monomorphic (the
+        // stdlib's schemes are closed).
         let mut env_vars = Vec::new();
-        let monos: Vec<Ty> =
-            self.env.values[self.env.stdlib_len..].iter().map(|(_, s)| s.ty.clone()).collect();
+        let monos: Vec<Ty> = self.env.values.iter().map(|(_, s)| s.ty.clone()).collect();
         for t in monos {
             let r = self.uni.resolve(&t);
             r.vars(&mut env_vars);
@@ -1042,5 +1036,29 @@ fn lit_type(l: &Lit) -> Ty {
         Lit::Str(_) => Ty::string(),
         Lit::Bool(_) => Ty::bool(),
         Lit::Unit => Ty::unit(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seminal_ml::parser::parse_program;
+    use std::sync::Arc;
+
+    #[test]
+    fn states_share_the_stdlib_bindings() {
+        let shared = &stdlib_env().stdlib;
+        let initial = InferState::initial();
+        let cloned = initial.clone();
+        let mut advanced = InferState::initial();
+        let prog = parse_program("let double x = x + x").unwrap();
+        advanced.check_decl(&prog.decls[0]).unwrap();
+        let snapshot = advanced.clone();
+        for (what, state) in
+            [("initial", &initial), ("clone", &cloned), ("after a decl", &snapshot)]
+        {
+            assert!(Arc::ptr_eq(&state.env.stdlib, shared), "{what} copied the stdlib");
+        }
+        assert_eq!(snapshot.env.values.len(), 1, "only the program's binding is owned");
     }
 }

@@ -36,8 +36,8 @@ fn arrows(params: Vec<Ty>, ret: Ty) -> Ty {
     Ty::arrows(params, ret)
 }
 
-/// Builds the standard environment. Prefer [`stdlib_env`], which memoizes.
-pub fn build_stdlib() -> Env {
+/// Builds the standard environment; [`stdlib_env`] memoizes it.
+fn build_stdlib() -> Env {
     let mut env = Env::default();
 
     // --- Named types -----------------------------------------------------
@@ -198,14 +198,13 @@ pub fn build_stdlib() -> Env {
         // The paper's adaptation helper (§2.3): `let adapt x = raise Foo`.
         ("adapt", poly2(Ty::arrow(a(), b()))),
     ];
-    for (name, scheme) in entries {
-        env.push(name, scheme);
-    }
-    env.stdlib_len = env.values.len();
+    env.stdlib = entries.into_iter().map(|(name, scheme)| (name.to_owned(), scheme)).collect();
     env
 }
 
-/// The memoized standard environment; clone it per check.
+/// The memoized standard environment; clone it per check. A clone shares
+/// the standard bindings and the name-keyed maps with this one, so it
+/// costs a few refcount bumps.
 pub fn stdlib_env() -> &'static Env {
     static ENV: OnceLock<Env> = OnceLock::new();
     ENV.get_or_init(build_stdlib)
@@ -227,7 +226,9 @@ mod tests {
     fn stdlib_schemes_are_closed() {
         // Every free variable of a stdlib scheme must be quantified.
         let env = stdlib_env();
-        for (name, scheme) in &env.values {
+        assert!(!env.stdlib().is_empty());
+        assert!(env.values.is_empty(), "stdlib bindings live in the shared slice");
+        for (name, scheme) in env.stdlib() {
             let mut vars = Vec::new();
             scheme.ty.vars(&mut vars);
             for v in vars {
